@@ -19,7 +19,7 @@ const SNAPSHOT: &str = r#"{
       "chain": [6, 7, 9, 10],
       "triggers": [{"pc": 3, "kind": "cond-branch", "distance": 7}],
       "patch": {"pc": 5, "trigger": "cond-branch", "pass": "mask"},
-      "suppressed_by": ["Permissive", "Permissive+BR", "Strict", "Strict+BR", "Restricted Loads", "Full Protection", "In-Order", "InvisiSpec-Spectre", "InvisiSpec-Future", "Delay-On-Miss"]
+      "suppressed_by": ["Permissive", "Permissive+BR", "Strict", "Strict+BR", "Restricted Loads", "Full Protection", "In-Order", "InvisiSpec-Spectre", "InvisiSpec-Future", "Delay-On-Miss", "STT-Spectre", "STT-Futuristic", "ShadowBinding-Eager", "ShadowBinding-Lazy"]
     }
   ]
 }"#;

@@ -1,13 +1,16 @@
-//! Cycle-exact regression pins for the event-driven writeback path.
+//! Cycle-exact regression pins for the out-of-order pipeline and every
+//! defense.
 //!
-//! The hot-loop overhaul (completion event queue, incremental wake-up,
-//! scratch buffers) must be a pure host-side optimisation: simulated
-//! timing is bit-identical to the original full-ROB-scan implementation.
-//! These tests pin the exact cycle counts of a mixed load/branch/fence
-//! program, captured on the pre-optimisation implementation, so any
-//! scheduling drift shows up as a hard failure rather than a silent CPI
-//! shift.
+//! Host-side refactors (the completion event queue, incremental wake-up,
+//! scratch buffers, the once-per-cycle speculation shadow) must leave
+//! simulated timing bit-identical. These tests pin the exact cycle counts
+//! of three programs on all fifteen variants: a mixed load/branch/fence
+//! loop, a taint-gated pointer chase, and a loop carried through a load in
+//! a store's shadow. Between them every speculation border moves a pin, so
+//! any scheduling drift shows up as a hard failure rather than a silent
+//! CPI shift.
 
+use nda_core::config::CoreModel;
 use nda_core::{run_with_config, OooCore, SimConfig, Variant, VecSink};
 use nda_isa::{Asm, Reg};
 
@@ -45,15 +48,20 @@ fn mixed_program() -> nda_isa::Program {
     asm.assemble().unwrap()
 }
 
-/// The (variant, cycles, committed instructions) pins, captured from the
-/// pre-event-queue scan implementation (seed of this PR). Architectural
-/// register results are asserted separately below.
+/// The (variant, cycles, committed instructions) pins for every variant,
+/// in `Variant::all()` order. Architectural register results are asserted
+/// separately below.
 const PINS: &[(Variant, u64, u64)] = &[
     (Variant::Ooo, 629, 99),
     (Variant::Permissive, 629, 99),
+    (Variant::PermissiveBr, 629, 99),
     (Variant::Strict, 629, 99),
+    (Variant::StrictBr, 629, 99),
+    (Variant::RestrictedLoads, 629, 99),
     (Variant::FullProtection, 629, 99),
+    (Variant::InOrder, 763, 99),
     (Variant::InvisiSpecSpectre, 759, 99),
+    (Variant::InvisiSpecFuture, 763, 99),
     (Variant::DelayOnMiss, 630, 99),
     // The taint variants pin *equal to Ooo* on this program: nothing here
     // feeds a speculatively-loaded value into a transmit address slot, so
@@ -103,33 +111,97 @@ fn taint_gadget_program() -> nda_isa::Program {
     asm.assemble().unwrap()
 }
 
-/// Pins for [`taint_gadget_program`]: the insecure baseline, the four
-/// taint variants, and FullProtection as the cost ceiling.
+/// Pins for [`taint_gadget_program`], every variant.
 const TAINT_PINS: &[(Variant, u64, u64)] = &[
     (Variant::Ooo, 507, 82),
+    (Variant::Permissive, 535, 82),
+    (Variant::PermissiveBr, 535, 82),
+    (Variant::Strict, 560, 82),
+    (Variant::StrictBr, 560, 82),
+    (Variant::RestrictedLoads, 540, 82),
+    (Variant::FullProtection, 560, 82),
+    (Variant::InOrder, 570, 82),
+    (Variant::InvisiSpecSpectre, 510, 82),
+    (Variant::InvisiSpecFuture, 510, 82),
+    (Variant::DelayOnMiss, 512, 82),
     (Variant::SttSpectre, 535, 82),
     (Variant::SttFuturistic, 540, 82),
     (Variant::ShadowBindingEager, 535, 82),
     (Variant::ShadowBindingLazy, 540, 82),
-    (Variant::FullProtection, 560, 82),
 ];
+
+/// A loop whose carried dependence runs through a load that sits behind a
+/// store with a late (multiply-derived) address. Only the Bypass
+/// Restriction withholds that load's broadcast until the store completes,
+/// so this is the program that separates the `+BR` variants from their
+/// bases.
+fn store_shadow_program() -> nda_isa::Program {
+    let mut asm = Asm::new();
+    asm.data_u64s(0x8000, &[3]);
+    let done = asm.new_label();
+    asm.li(Reg::X2, 0x8000) // warm load slot
+        .li(Reg::X3, 8) // loop counter
+        .li(Reg::X4, 1) // loop-carried value
+        .li(Reg::X9, 0x9000) // store region
+        .li(Reg::X10, 7);
+    let top = asm.here_label();
+    asm.beq(Reg::X3, Reg::X0, done);
+    asm.mul(Reg::X5, Reg::X4, Reg::X10);
+    asm.andi(Reg::X5, Reg::X5, 0x38);
+    asm.add(Reg::X5, Reg::X5, Reg::X9);
+    asm.st8(Reg::X3, Reg::X5, 0); // store address known late
+    asm.ld8(Reg::X6, Reg::X2, 0); // independent load in the store's shadow
+    asm.add(Reg::X4, Reg::X4, Reg::X6); // carries the load into the next multiply
+    asm.subi(Reg::X3, Reg::X3, 1);
+    asm.jmp(top);
+    asm.bind(done);
+    asm.halt();
+    asm.assemble().unwrap()
+}
+
+/// Pins for [`store_shadow_program`], every variant.
+const STORE_PINS: &[(Variant, u64, u64)] = &[
+    (Variant::Ooo, 312, 79),
+    (Variant::Permissive, 312, 79),
+    (Variant::PermissiveBr, 348, 79),
+    (Variant::Strict, 312, 79),
+    (Variant::StrictBr, 348, 79),
+    (Variant::RestrictedLoads, 355, 79),
+    (Variant::FullProtection, 355, 79),
+    (Variant::InOrder, 583, 79),
+    (Variant::InvisiSpecSpectre, 317, 79),
+    (Variant::InvisiSpecFuture, 476, 79),
+    (Variant::DelayOnMiss, 313, 79),
+    (Variant::SttSpectre, 312, 79),
+    (Variant::SttFuturistic, 323, 79),
+    (Variant::ShadowBindingEager, 312, 79),
+    (Variant::ShadowBindingLazy, 312, 79),
+];
+
+/// Run `prog` on every variant with the invariant checker on, check the
+/// architectural result in `x4`, and return the (variant, cycles,
+/// committed instructions) triples in `Variant::all()` order.
+fn measure(prog: &nda_isa::Program, x4: u64) -> Vec<(Variant, u64, u64)> {
+    Variant::all()
+        .into_iter()
+        .map(|v| {
+            let mut cfg = SimConfig::for_variant(v);
+            cfg.check_invariants = true;
+            let r = run_with_config(cfg, prog, 1_000_000).unwrap();
+            println!(
+                "    (Variant::{v:?}, {}, {}),",
+                r.stats.cycles, r.stats.committed_insts
+            );
+            assert_eq!(r.regs[4], x4, "{v}: wrong architectural result");
+            (v, r.stats.cycles, r.stats.committed_insts)
+        })
+        .collect()
+}
 
 #[test]
 fn taint_gated_pointer_chase_cycle_counts_are_pinned() {
-    let prog = taint_gadget_program();
-    let mut got = Vec::new();
-    for &(v, ..) in TAINT_PINS {
-        let mut cfg = SimConfig::for_variant(v);
-        cfg.check_invariants = true;
-        let r = run_with_config(cfg, &prog, 1_000_000).unwrap();
-        println!(
-            "    (Variant::{v:?}, {}, {}),",
-            r.stats.cycles, r.stats.committed_insts
-        );
-        // sum = 31, five odd values add 10 each.
-        assert_eq!(r.regs[4], 31 + 50, "{v}: wrong architectural result");
-        got.push((v, r.stats.cycles, r.stats.committed_insts));
-    }
+    // sum = 31, five odd values add 10 each.
+    let got = measure(&taint_gadget_program(), 31 + 50);
     assert_eq!(
         got, TAINT_PINS,
         "taint-gated timing drifted from the pinned baseline"
@@ -144,34 +216,38 @@ fn taint_gated_pointer_chase_cycle_counts_are_pinned() {
 
 #[test]
 fn mixed_load_branch_fence_cycle_counts_are_pinned() {
-    let prog = mixed_program();
-    let mut got = Vec::new();
-    for &(v, ..) in PINS {
-        let mut cfg = SimConfig::for_variant(v);
-        cfg.check_invariants = true;
-        let r = run_with_config(cfg, &prog, 1_000_000).unwrap();
-        println!(
-            "    (Variant::{v:?}, {}, {}),",
-            r.stats.cycles, r.stats.committed_insts
-        );
-        // sum = 31, five odd table entries add 100 each.
-        assert_eq!(r.regs[4], 31 + 500, "{v}: wrong architectural result");
-        got.push((v, r.stats.cycles, r.stats.committed_insts));
-    }
+    // sum = 31, five odd table entries add 100 each.
+    let got = measure(&mixed_program(), 31 + 500);
     assert_eq!(
         got, PINS,
         "simulated timing drifted from the pinned baseline"
     );
 }
 
+#[test]
+fn store_shadow_cycle_counts_are_pinned() {
+    let got = measure(&store_shadow_program(), 1 + 8 * 3);
+    assert_eq!(
+        got, STORE_PINS,
+        "store-shadow timing drifted from the pinned baseline"
+    );
+    let cycles = |v: Variant| got.iter().find(|(x, ..)| *x == v).unwrap().1;
+    assert!(cycles(Variant::PermissiveBr) > cycles(Variant::Permissive));
+}
+
 /// Attaching an event sink must not perturb timing: the same pins hold
 /// with per-cycle trace draining enabled. (Tracing is observer-only; a
-/// drift here means an exporter hook leaked into the schedule.)
+/// drift here means an exporter hook leaked into the schedule.) The
+/// in-order model has no event sink, so only out-of-order variants run.
 #[test]
 fn cycle_pins_hold_with_tracing_enabled() {
     let prog = mixed_program();
     for &(v, cycles, insts) in PINS {
-        let mut core = OooCore::new(SimConfig::for_variant(v), &prog);
+        let cfg = SimConfig::for_variant(v);
+        if cfg.model != CoreModel::OutOfOrder {
+            continue;
+        }
+        let mut core = OooCore::new(cfg, &prog);
         let mut sink = VecSink::default();
         let r = core.run_with_sink(1_000_000, &mut sink).unwrap();
         assert_eq!(
