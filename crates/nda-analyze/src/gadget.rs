@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use nda_core::{config::CoreModel, SimConfig, Variant};
+use nda_core::{config::CoreModel, Border, Defense, Propagation, SimConfig, Variant};
 use nda_isa::inst::UopClass;
 use nda_isa::{Cfg, Program};
 
@@ -287,64 +287,70 @@ pub fn suppressed_by(
     if sc.model == CoreModel::InOrder {
         return true;
     }
-    // InvisiSpec hides speculative *loads* from the cache hierarchy and
-    // Delay-On-Miss delays them: only the d-cache load channel is covered
-    // — and only during control-flow speculation, except for
-    // InvisiSpec-Future which covers every form of speculation.
-    if let Some(is) = sc.invisispec {
-        return channel == Channel::DCacheLoad
-            && (is == nda_core::IsVariant::Future
-                || triggers.iter().all(|(_, t)| t.kind.is_control()));
-    }
-    if sc.core.delay_on_miss {
-        return channel == Channel::DCacheLoad && triggers.iter().all(|(_, t)| t.kind.is_control());
-    }
-    // STT / ShadowBinding gate *transmitting* uses of tainted data: the
-    // explicit channels (tainted load/store address, tainted indirect
-    // target) are covered, the conditional-branch implicit channel is
-    // deliberately not. Taint originates at speculative loads only, so a
-    // control-triggered gadget is dead iff a load of the chain sits inside
-    // the transient window; chosen-code and memory-order triggers taint
-    // only under the futuristic threat model. Untaint timing (propagated /
-    // eager / lazy) affects cost, never coverage.
-    if let Some(tp) = sc.taint {
-        if channel == Channel::CtrlBranch {
-            return false;
-        }
-        let blocked = |(ti, info): &(usize, TriggerInfo)| -> bool {
-            match info.kind {
-                TriggerKind::Fault | TriggerKind::SsbStore => {
-                    tp.threat == nda_core::TaintThreat::Futuristic
-                }
-                _ => {
-                    let win = &windows[*ti].window;
-                    chain_no_sink
-                        .iter()
-                        .any(|pc| win.contains_key(pc) && p.insts[*pc].is_load_like())
-                }
-            }
-        };
-        return !triggers.is_empty() && triggers.iter().all(blocked);
-    }
-    let policy = sc.policy;
-    let blocked = |(ti, info): &(usize, TriggerInfo)| -> bool {
-        match info.kind {
-            // Load restriction keeps the faulting/stale value from ever
-            // broadcasting; bypass restriction forbids the bypass itself.
-            TriggerKind::Fault => policy.load_restriction,
-            TriggerKind::SsbStore => policy.bypass_restriction || policy.load_restriction,
-            _ => {
-                let win = &windows[*ti].window;
-                let any_in = chain_no_sink.iter().any(|pc| win.contains_key(pc));
-                let any_load_in = chain_no_sink
-                    .iter()
-                    .any(|pc| win.contains_key(pc) && p.insts[*pc].is_load_like());
-                use nda_core::Propagation;
-                (policy.propagation == Propagation::Strict && any_in)
-                    || (policy.propagation == Propagation::Permissive && any_load_in)
-                    || (policy.load_restriction && any_load_in)
-            }
-        }
+    // Does `border`'s shadow cover the speculation a trigger opens?
+    let shadows = |border: Border, kind: TriggerKind| match border {
+        Border::UnresolvedBranch | Border::Branch => kind.is_control(),
+        Border::Store => kind == TriggerKind::SsbStore,
+        Border::Head => true,
     };
-    !triggers.is_empty() && triggers.iter().all(blocked)
+    let load_in_window = |ti: usize| {
+        let win = &windows[ti].window;
+        chain_no_sink
+            .iter()
+            .any(|pc| win.contains_key(pc) && p.insts[*pc].is_load_like())
+    };
+    match sc.defense {
+        Defense::None => false,
+        // InvisiSpec hides speculative *loads* from the cache hierarchy and
+        // Delay-On-Miss delays them: only the d-cache load channel is
+        // covered, and only for the speculation their border covers.
+        Defense::InvisibleLoad(border) => {
+            channel == Channel::DCacheLoad && triggers.iter().all(|(_, t)| shadows(border, t.kind))
+        }
+        Defense::DelayOnMiss => {
+            channel == Channel::DCacheLoad
+                && triggers
+                    .iter()
+                    .all(|(_, t)| shadows(Border::UnresolvedBranch, t.kind))
+        }
+        // STT / ShadowBinding gate *transmitting* uses of tainted data: the
+        // explicit channels (tainted load/store address, tainted indirect
+        // target) are covered, the conditional-branch implicit channel is
+        // deliberately not. Taint originates at speculative loads only, so
+        // a control-triggered gadget is dead iff a load of the chain sits
+        // inside the transient window; chosen-code and memory-order
+        // triggers taint the source load itself when the border covers
+        // them. Untaint timing affects cost, never coverage.
+        Defense::GateTransmit { border, .. } => {
+            channel != Channel::CtrlBranch
+                && !triggers.is_empty()
+                && triggers.iter().all(|(ti, t)| {
+                    shadows(border, t.kind) && (!t.kind.is_control() || load_in_window(*ti))
+                })
+        }
+        Defense::DelayBroadcast {
+            propagation,
+            bypass_restriction,
+            load_restriction,
+        } => {
+            let blocked = |(ti, t): &(usize, TriggerInfo)| -> bool {
+                match t.kind {
+                    // Load restriction keeps the faulting/stale value from
+                    // ever broadcasting; bypass restriction forbids the
+                    // bypass itself.
+                    TriggerKind::Fault => load_restriction,
+                    TriggerKind::SsbStore => bypass_restriction || load_restriction,
+                    _ => {
+                        let any_in = chain_no_sink
+                            .iter()
+                            .any(|pc| windows[*ti].window.contains_key(pc));
+                        (propagation == Propagation::Strict && any_in)
+                            || ((propagation == Propagation::Permissive || load_restriction)
+                                && load_in_window(*ti))
+                    }
+                }
+            };
+            !triggers.is_empty() && triggers.iter().all(blocked)
+        }
+    }
 }

@@ -50,7 +50,7 @@ pub mod util;
 pub use detect::{analyze, analyze_bits, AttackOutcome};
 pub use layout::*;
 
-use nda_core::config::{CoreModel, SimConfig};
+use nda_core::config::{squash_name, CoreModel, SimConfig};
 use nda_core::{InOrderCore, OooCore, Variant};
 use nda_isa::Program;
 use std::fmt;
@@ -106,6 +106,22 @@ impl AttackKind {
             AttackKind::Meltdown,
             AttackKind::LazyFp,
         ]
+    }
+
+    /// The attack named `name` (see [`nda_core::config::squash_name`]): an
+    /// exact match wins, otherwise the first attack whose name contains
+    /// `name` (`"v1 (cache)"`, `"ssb"`). `None` for an empty or unknown
+    /// name.
+    pub fn parse(name: &str) -> Option<AttackKind> {
+        let want = squash_name(name);
+        if want.is_empty() {
+            return None;
+        }
+        let all = AttackKind::all();
+        all.iter()
+            .find(|k| squash_name(k.name()) == want)
+            .or_else(|| all.iter().find(|k| squash_name(k.name()).contains(&want)))
+            .copied()
     }
 
     /// Human-readable name.
@@ -343,5 +359,29 @@ pub fn run_attack(kind: AttackKind, v: Variant, secret: u8) -> AttackOutcome {
         analyze_bits(&timings, secret, kind.margin(), fast_is_one)
     } else {
         analyze(&timings, secret, kind.margin(), kind.polluted_guesses())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_prefers_exact_names_and_rejects_empty() {
+        for k in AttackKind::all() {
+            assert_eq!(AttackKind::parse(k.name()), Some(k));
+        }
+        assert_eq!(
+            AttackKind::parse("v1 (BTB)"),
+            Some(AttackKind::SpectreV1Btb)
+        );
+        assert_eq!(
+            AttackKind::parse("spectre-v1"),
+            Some(AttackKind::SpectreV1Cache)
+        );
+        assert_eq!(AttackKind::parse("ssb"), Some(AttackKind::Ssb));
+        assert_eq!(AttackKind::parse(""), None);
+        assert_eq!(AttackKind::parse("( )"), None);
+        assert_eq!(AttackKind::parse("rowhammer"), None);
     }
 }

@@ -18,7 +18,7 @@
 use nda_attacks::{analyze, AttackKind, RESULTS_BASE};
 use nda_bench::SweepConfig;
 use nda_core::config::SimConfig;
-use nda_core::{run_with_config, NdaPolicy, OooCore};
+use nda_core::{run_with_config, OooCore, Variant};
 use nda_workloads::{by_name, WorkloadParams};
 
 fn run_attack_with(cfg: SimConfig, kind: AttackKind, secret: u8) -> bool {
@@ -61,8 +61,7 @@ fn main() {
     let mut ssbd = SimConfig::ooo();
     ssbd.core.speculative_store_bypass = false;
     let ssbd_cpi = run_with_config(ssbd, &prog, 2_000_000_000).unwrap().cpi();
-    let mut br = SimConfig::ooo();
-    br.policy = NdaPolicy::permissive_br();
+    let br = SimConfig::for_variant(Variant::PermissiveBr);
     let br_cpi = run_with_config(br, &prog, 2_000_000_000).unwrap().cpi();
     println!("  insecure OoO             : CPI {base:.3}");
     println!(
@@ -80,8 +79,7 @@ fn main() {
         !run_attack_with(ssbd_atk, AttackKind::Ssb, secret),
         "SSBD must block SSB"
     );
-    let mut br_atk = SimConfig::ooo();
-    br_atk.policy = NdaPolicy::permissive_br();
+    let br_atk = SimConfig::for_variant(Variant::PermissiveBr);
     assert!(
         !run_attack_with(br_atk, AttackKind::Ssb, secret),
         "BR must block SSB"
@@ -95,8 +93,7 @@ fn main() {
     let mut fixed = SimConfig::ooo();
     fixed.core.meltdown_flaw = false;
     let fixed_leak = run_attack_with(fixed, AttackKind::Meltdown, secret);
-    let mut lr = SimConfig::ooo();
-    lr.policy = NdaPolicy::restricted_loads();
+    let lr = SimConfig::for_variant(Variant::RestrictedLoads);
     let lr_leak = run_attack_with(lr, AttackKind::Meltdown, secret);
     println!("  flawed hardware, no NDA        : leaked = {flawed}");
     println!("  fixed hardware (point patch)   : leaked = {fixed_leak}");
@@ -111,8 +108,7 @@ fn main() {
         seed: 9,
         iters: sweep_cfg.iters,
     });
-    let mut pf_off = SimConfig::ooo();
-    pf_off.policy = NdaPolicy::permissive();
+    let pf_off = SimConfig::for_variant(Variant::Permissive);
     let mut pf_on = pf_off;
     pf_on.mem.next_line_prefetch = true;
     let off = run_with_config(pf_off, &prog, 2_000_000_000).unwrap();
@@ -126,8 +122,7 @@ fn main() {
     );
     // The security result is prefetcher-independent: NDA cuts the transmit
     // before any address can be formed, so there is nothing to prefetch.
-    let mut atk_cfg = SimConfig::ooo();
-    atk_cfg.policy = NdaPolicy::permissive();
+    let mut atk_cfg = SimConfig::for_variant(Variant::Permissive);
     atk_cfg.mem.next_line_prefetch = true;
     assert!(
         !run_attack_with(atk_cfg, AttackKind::SpectreV1Cache, secret),
@@ -162,8 +157,10 @@ fn main() {
         ] {
             let mut base = SimConfig::ooo();
             base.core.predictor_kind = kind;
-            let mut strict = base;
-            strict.policy = NdaPolicy::strict();
+            let strict = SimConfig {
+                defense: SimConfig::for_variant(Variant::Strict).defense,
+                ..base
+            };
             let b = run_with_config(base, &prog, 2_000_000_000).unwrap();
             let s = run_with_config(strict, &prog, 2_000_000_000).unwrap();
             println!(

@@ -6,7 +6,7 @@
 //! transmit chain. We step each policy to the same cycle — while the
 //! branch is still unresolved — and render the per-entry state.
 
-use nda_core::{NdaPolicy, OooCore, RobCellState, SimConfig, Variant};
+use nda_core::{OooCore, RobCellState, SimConfig, Variant};
 use nda_isa::{Asm, Program, Reg};
 
 fn listing1_like() -> Program {
@@ -60,20 +60,15 @@ fn main() {
     println!("Fig 6: ROB snapshot during Listing-1 execution, per NDA policy");
     println!("(snapshot taken while the bounds-check branch is unresolved)\n");
     let program = listing1_like();
-    let policies: [(&str, NdaPolicy); 4] = [
-        ("(a) strict propagation", NdaPolicy::strict()),
-        ("(b) permissive propagation", NdaPolicy::permissive()),
-        ("(c) load restriction", NdaPolicy::restricted_loads()),
-        (
-            "(d) strict + load restriction",
-            NdaPolicy::full_protection(),
-        ),
+    let policies = [
+        ("(a) strict propagation", Variant::Strict),
+        ("(b) permissive propagation", Variant::Permissive),
+        ("(c) load restriction", Variant::RestrictedLoads),
+        ("(d) strict + load restriction", Variant::FullProtection),
     ];
     let mut transmit_issued_under = Vec::new();
-    for (name, policy) in policies {
-        let mut cfg = SimConfig::for_variant(Variant::Ooo);
-        cfg.policy = policy;
-        let mut core = OooCore::new(cfg, &program);
+    for (name, variant) in policies {
+        let mut core = OooCore::new(SimConfig::for_variant(variant), &program);
         // Step until the wrong-path window is in full swing: the bounds
         // branch is in the ROB and unresolved (it waits on the flushed
         // array_size load) and the transmit chain has been dispatched.
@@ -90,7 +85,7 @@ fn main() {
         for _ in 0..40 {
             core.step_cycle();
         }
-        println!("{name}  [policy: {policy}]  (cycle {})", core.cycle());
+        println!("{name}  [variant: {variant}]  (cycle {})", core.cycle());
         let mut transmit_issued = false;
         for v in core.rob_view() {
             let marker = if v.unresolved_branch {

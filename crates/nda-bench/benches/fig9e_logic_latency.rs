@@ -5,7 +5,7 @@
 
 use nda_bench::{sweep, SweepConfig};
 use nda_core::config::SimConfig;
-use nda_core::{run_with_config, NdaPolicy, Variant};
+use nda_core::{run_with_config, Variant};
 use nda_workloads::{all, WorkloadParams};
 
 fn main() {
@@ -33,8 +33,7 @@ fn main() {
                     iters: cfg.iters,
                 };
                 let prog = (workload.build)(&params);
-                let mut sim = SimConfig::ooo();
-                sim.policy = NdaPolicy::permissive();
+                let mut sim = SimConfig::for_variant(Variant::Permissive);
                 sim.core.broadcast_extra_delay = delay;
                 let r = run_with_config(sim, &prog, 2_000_000_000)
                     .unwrap_or_else(|e| panic!("{}: {e}", workload.name));

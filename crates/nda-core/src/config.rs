@@ -1,6 +1,7 @@
-//! Simulator configuration (paper Table 3) and the ten evaluated variants.
+//! Simulator configuration (paper Table 3) and the fifteen evaluated
+//! variants.
 
-use crate::policy::{IsVariant, NdaPolicy, TaintPolicy};
+use crate::policy::{Border, Defense, Propagation};
 use nda_mem::MemHierConfig;
 use nda_predict::{BtbConfig, GshareConfig, PredictorKind};
 use std::fmt;
@@ -70,10 +71,6 @@ pub struct CoreConfig {
     pub fpu_power_down_after: u64,
     /// Extra latency of a multiply issued to a powered-down unit.
     pub fpu_wake_penalty: u64,
-    /// Delay-on-miss (Sakalis et al., paper §7): a speculative load that
-    /// would miss the L1 is held until all older branches resolve. Blocks
-    /// d-cache-miss covert channels only.
-    pub delay_on_miss: bool,
     /// Model the divider as non-pipelined: a division occupies the unit
     /// for its full latency and younger divisions wait. This is the
     /// execution-port contention surface of SMoTherSpectre (paper §1, §3,
@@ -115,7 +112,6 @@ impl CoreConfig {
             fpu_power_model: false,
             fpu_power_down_after: 256,
             fpu_wake_penalty: 20,
-            delay_on_miss: false,
             nonpipelined_divider: true,
             btb: BtbConfig::default(),
             gshare: GshareConfig::default(),
@@ -146,13 +142,8 @@ pub struct SimConfig {
     pub core: CoreConfig,
     /// Memory hierarchy parameters.
     pub mem: MemHierConfig,
-    /// NDA policy (ignored by the in-order model).
-    pub policy: NdaPolicy,
-    /// InvisiSpec mode (mutually exclusive with a restrictive NDA policy).
-    pub invisispec: Option<IsVariant>,
-    /// STT/ShadowBinding taint-tracking mode (mutually exclusive with a
-    /// restrictive NDA policy and with InvisiSpec).
-    pub taint: Option<TaintPolicy>,
+    /// Speculation defense (ignored by the in-order model).
+    pub defense: Defense,
     /// Timing model.
     pub model: CoreModel,
     /// Validate micro-architectural conservation laws (physical-register
@@ -175,36 +166,51 @@ impl SimConfig {
         SimConfig {
             core: CoreConfig::haswell_like(),
             mem: MemHierConfig::haswell_like(),
-            policy: NdaPolicy::ooo(),
-            invisispec: None,
-            taint: None,
+            defense: Defense::None,
             model: CoreModel::OutOfOrder,
             check_invariants: false,
             watchdog_window: Some(50_000),
         }
     }
 
-    /// The configuration for one of the ten evaluated [`Variant`]s.
+    /// The configuration for one of the fifteen evaluated [`Variant`]s:
+    /// the preset table of [`Defense`]s.
     pub fn for_variant(v: Variant) -> SimConfig {
-        let mut cfg = SimConfig::ooo();
-        match v {
-            Variant::Ooo => {}
-            Variant::Permissive => cfg.policy = NdaPolicy::permissive(),
-            Variant::PermissiveBr => cfg.policy = NdaPolicy::permissive_br(),
-            Variant::Strict => cfg.policy = NdaPolicy::strict(),
-            Variant::StrictBr => cfg.policy = NdaPolicy::strict_br(),
-            Variant::RestrictedLoads => cfg.policy = NdaPolicy::restricted_loads(),
-            Variant::FullProtection => cfg.policy = NdaPolicy::full_protection(),
-            Variant::InOrder => cfg.model = CoreModel::InOrder,
-            Variant::InvisiSpecSpectre => cfg.invisispec = Some(IsVariant::Spectre),
-            Variant::InvisiSpecFuture => cfg.invisispec = Some(IsVariant::Future),
-            Variant::DelayOnMiss => cfg.core.delay_on_miss = true,
-            Variant::SttSpectre => cfg.taint = Some(TaintPolicy::stt_spectre()),
-            Variant::SttFuturistic => cfg.taint = Some(TaintPolicy::stt_futuristic()),
-            Variant::ShadowBindingEager => cfg.taint = Some(TaintPolicy::shadow_binding_eager()),
-            Variant::ShadowBindingLazy => cfg.taint = Some(TaintPolicy::shadow_binding_lazy()),
+        use Border::{Branch, Head, UnresolvedBranch};
+        let nda = |propagation, bypass_restriction, load_restriction| Defense::DelayBroadcast {
+            propagation,
+            bypass_restriction,
+            load_restriction,
+        };
+        let gate = |border, propagated_untaint| Defense::GateTransmit {
+            border,
+            propagated_untaint,
+        };
+        let defense = match v {
+            Variant::Ooo | Variant::InOrder => Defense::None,
+            Variant::Permissive => nda(Propagation::Permissive, false, false),
+            Variant::PermissiveBr => nda(Propagation::Permissive, true, false),
+            Variant::Strict => nda(Propagation::Strict, false, false),
+            Variant::StrictBr => nda(Propagation::Strict, true, false),
+            Variant::RestrictedLoads => nda(Propagation::Off, false, true),
+            Variant::FullProtection => nda(Propagation::Strict, true, true),
+            Variant::InvisiSpecSpectre => Defense::InvisibleLoad(UnresolvedBranch),
+            Variant::InvisiSpecFuture => Defense::InvisibleLoad(Head),
+            Variant::DelayOnMiss => Defense::DelayOnMiss,
+            Variant::SttSpectre => gate(UnresolvedBranch, true),
+            Variant::SttFuturistic => gate(Head, true),
+            Variant::ShadowBindingEager => gate(UnresolvedBranch, false),
+            Variant::ShadowBindingLazy => gate(Branch, false),
+        };
+        let model = match v {
+            Variant::InOrder => CoreModel::InOrder,
+            _ => CoreModel::OutOfOrder,
+        };
+        SimConfig {
+            defense,
+            model,
+            ..SimConfig::ooo()
         }
-        cfg
     }
 }
 
@@ -214,7 +220,8 @@ impl Default for SimConfig {
     }
 }
 
-/// The ten configurations evaluated in Fig 7, in the paper's order.
+/// The evaluated configurations: Fig 7's ten in the paper's order, then
+/// the related-work defenses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Variant {
@@ -292,6 +299,16 @@ impl Variant {
         ]
     }
 
+    /// The variant named `name` (see [`squash_name`]), e.g.
+    /// `"full-protection"` or `"Permissive+BR"`. `None` for an empty or
+    /// unknown name.
+    pub fn parse(name: &str) -> Option<Variant> {
+        let want = squash_name(name);
+        Variant::all()
+            .into_iter()
+            .find(|v| squash_name(v.name()) == want)
+    }
+
     /// Display name matching the Fig 7 legend.
     pub fn name(self) -> &'static str {
         match self {
@@ -320,10 +337,18 @@ impl fmt::Display for Variant {
     }
 }
 
+/// A name as the command line and the server match it: lower case, with
+/// spaces, hyphens, underscores, plus signs and parentheses dropped.
+pub fn squash_name(s: &str) -> String {
+    s.chars()
+        .filter(|c| !matches!(c, ' ' | '-' | '_' | '+' | '(' | ')'))
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Propagation;
 
     #[test]
     fn table3_parameters() {
@@ -336,23 +361,36 @@ mod tests {
     }
 
     #[test]
-    fn variants_map_to_policies() {
+    fn variants_map_to_distinct_presets() {
+        // Every variant is its own preset; only In-Order leaves the
+        // out-of-order model (and so shares `Defense::None` with OoO).
+        let presets: std::collections::HashSet<_> = Variant::all()
+            .into_iter()
+            .map(|v| {
+                let cfg = SimConfig::for_variant(v);
+                assert_eq!(cfg.model == CoreModel::InOrder, v == Variant::InOrder);
+                (cfg.model, cfg.defense)
+            })
+            .collect();
+        assert_eq!(presets.len(), 15);
         assert_eq!(
-            SimConfig::for_variant(Variant::Strict).policy.propagation,
-            Propagation::Strict
+            SimConfig::for_variant(Variant::FullProtection).defense,
+            Defense::DelayBroadcast {
+                propagation: Propagation::Strict,
+                bypass_restriction: true,
+                load_restriction: true,
+            }
         );
         assert_eq!(
-            SimConfig::for_variant(Variant::InOrder).model,
-            CoreModel::InOrder
+            SimConfig::for_variant(Variant::InvisiSpecFuture).defense,
+            Defense::InvisibleLoad(Border::Head)
         );
         assert_eq!(
-            SimConfig::for_variant(Variant::InvisiSpecFuture).invisispec,
-            Some(IsVariant::Future)
-        );
-        assert!(
-            SimConfig::for_variant(Variant::FullProtection)
-                .policy
-                .load_restriction
+            SimConfig::for_variant(Variant::ShadowBindingLazy).defense,
+            Defense::GateTransmit {
+                border: Border::Branch,
+                propagated_untaint: false,
+            }
         );
     }
 
@@ -371,43 +409,21 @@ mod tests {
     }
 
     #[test]
-    fn taint_variants_map_to_taint_policies_and_nothing_else() {
-        use crate::policy::{TaintThreat, UntaintTiming};
-        for v in Variant::taint_family() {
-            let cfg = SimConfig::for_variant(v);
-            let tp = cfg.taint.expect("taint family sets a taint policy");
-            // Mutually exclusive with NDA restriction and InvisiSpec.
-            assert!(!cfg.policy.is_restrictive(), "{v}");
-            assert_eq!(cfg.invisispec, None, "{v}");
-            assert_eq!(cfg.model, CoreModel::OutOfOrder, "{v}");
-            match v {
-                Variant::SttSpectre => {
-                    assert_eq!(tp.threat, TaintThreat::Spectre);
-                    assert_eq!(tp.untaint, UntaintTiming::Propagated);
-                }
-                Variant::SttFuturistic => {
-                    assert_eq!(tp.threat, TaintThreat::Futuristic);
-                    assert_eq!(tp.untaint, UntaintTiming::Propagated);
-                }
-                Variant::ShadowBindingEager => assert_eq!(tp.untaint, UntaintTiming::Eager),
-                Variant::ShadowBindingLazy => assert_eq!(tp.untaint, UntaintTiming::Lazy),
-                _ => unreachable!(),
-            }
-        }
-        // And no non-taint variant sets one.
-        for v in Variant::all() {
-            if !Variant::taint_family().contains(&v) {
-                assert_eq!(SimConfig::for_variant(v).taint, None, "{v}");
-            }
-        }
-    }
-
-    #[test]
     fn names_are_unique_and_nonempty() {
         let mut seen = std::collections::HashSet::new();
         for v in Variant::all() {
             assert!(!v.name().is_empty());
             assert!(seen.insert(v.name()));
+            assert_eq!(Variant::parse(v.name()), Some(v));
         }
+        assert_eq!(
+            Variant::parse("full-protection"),
+            Some(Variant::FullProtection)
+        );
+        assert_eq!(Variant::parse("STRICT+br"), Some(Variant::StrictBr));
+        assert_eq!(Variant::parse("permissive-br"), Some(Variant::PermissiveBr));
+        assert_eq!(Variant::parse(""), None);
+        assert_eq!(Variant::parse("--"), None);
+        assert_eq!(Variant::parse("strictest"), None);
     }
 }

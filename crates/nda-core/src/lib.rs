@@ -4,13 +4,15 @@
 //!
 //! * [`OooCore`] — a cycle-level out-of-order core in the style of gem5's
 //!   O3 (8-wide, 192-entry ROB, 32+32 LSQ, physical-register renaming, true
-//!   wrong-path execution), parameterised by an [`NdaPolicy`] implementing
-//!   the six data-propagation policies of Table 2, plus the two
-//!   [`InvisiSpec`](IsVariant) comparison models.
+//!   wrong-path execution), parameterised by a [`Defense`]: the six NDA
+//!   data-propagation policies of Table 2, the two InvisiSpec comparison
+//!   models, delay-on-miss, and the STT/ShadowBinding taint variants, each
+//!   a speculation [`Border`] plus a restriction.
 //! * [`InOrderCore`] — the blocking in-order baseline (gem5
 //!   `TimingSimpleCPU` analogue), the only other model that defeats all
 //!   known speculative-execution attacks.
-//! * [`Variant`] — the ten evaluated configurations of Fig 7, and
+//! * [`Variant`] — the fifteen evaluated configurations (Fig 7 plus the
+//!   related-work defenses), and
 //!   [`run_variant`] to execute a program on any of them.
 //!
 //! ```
@@ -50,7 +52,7 @@ pub use config::{CoreConfig, SimConfig, Variant};
 pub use inorder::InOrderCore;
 pub use ooo::core::{OooCore, RobCellState, RobView};
 pub use ooo::invariants::{InvariantKind, InvariantViolation};
-pub use policy::{IsVariant, NdaPolicy, Propagation, TaintPolicy, TaintThreat, UntaintTiming};
+pub use policy::{Border, Defense, Propagation};
 pub use result_store::{sanitize_result, ResultKey, ResultStore};
 pub use run::{
     run_smarts, run_smarts_with, run_variant, run_with_config, RunResult, SampledInfo, SimError,

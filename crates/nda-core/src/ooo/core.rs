@@ -8,7 +8,9 @@
 //! 2. **writeback** — finish executions due this cycle; resolve branches
 //!    (squash + redirect on mispredict); resolve store addresses (replay
 //!    squash on memory-order violation); update the BTB speculatively.
-//! 3. **safety walk** — recompute every entry's NDA `safe` bit (§5).
+//! 3. **restriction** — compute the cycle's speculation [`Shadow`] and run
+//!    the active [`Defense`]'s one walk: NDA `safe` bits (§5), STT taint
+//!    bits, or InvisiSpec exposure.
 //! 4. **broadcast** — port-limited tag broadcast; completing instructions
 //!    have priority, newly-safe deferred broadcasts take leftover ports.
 //! 5. **issue** — wake-up/select: only *visible* operands can be read.
@@ -18,9 +20,9 @@
 use super::frontend::{FrontEnd, FrontEndConfig};
 use super::invariants::{InvariantKind, InvariantViolation};
 use super::rename::{FreeList, PReg, PhysRegFile, RenameTable};
-use super::rob::{Rob, RobEntry};
+use super::rob::{Rob, RobEntry, Shadow};
 use crate::config::SimConfig;
-use crate::policy::{IsVariant, Propagation, TaintThreat, UntaintTiming};
+use crate::policy::{Border, Defense, Propagation};
 use crate::run::{RunResult, SimError};
 use crate::snapshot::{HeadInfo, HeadWait, PipelineSnapshot};
 use nda_isa::inst::{Src2, UopClass};
@@ -81,16 +83,10 @@ pub struct OooCore {
     /// border (younger micro-ops may not issue past it). Fences issue only
     /// from the ROB head, so they complete strictly in queue order.
     pending_fences: VecDeque<u64>,
-    /// Policy pre-computation: every micro-op is safe at dispatch (baseline
-    /// OoO / InvisiSpec / delay-on-miss), so the per-cycle safety walk is
-    /// skipped entirely.
-    policy_all_safe: bool,
-    /// Policy pre-computation: a [`crate::policy::TaintPolicy`] is active —
-    /// run the per-cycle taint walk and the transmit-side issue gate.
-    /// Orthogonal to `policy_all_safe` (taint variants keep every wakeup
-    /// unrestricted; only *transmitting* issues are withheld).
-    taint_on: bool,
-    /// `Propagated`-untaint scratch (empty otherwise): last cycle's PRF
+    /// This cycle's speculation borders (stale under `Defense::None`,
+    /// which never reads them).
+    shadow: Shadow,
+    /// Propagated-untaint scratch (empty otherwise): last cycle's PRF
     /// taint image. Taint *set* is immediate, but an untaint ripples one
     /// dependency level per cycle by OR-ing this image into each
     /// consumer's recomputed bit (STT reuses wakeup bandwidth to untaint).
@@ -170,14 +166,13 @@ impl OooCore {
             oracle: cfg.check_invariants.then(|| Box::new(Interp::new(program))),
             events: BinaryHeap::new(),
             pending_fences: VecDeque::new(),
-            policy_all_safe: cfg.policy.propagation == Propagation::Off
-                && !cfg.policy.bypass_restriction
-                && !cfg.policy.load_restriction,
-            taint_on: cfg.taint.is_some(),
-            taint_prev: if cfg.taint.map(|t| t.untaint) == Some(UntaintTiming::Propagated) {
-                vec![false; cfg.core.num_pregs]
-            } else {
-                Vec::new()
+            shadow: Shadow::NONE,
+            taint_prev: match cfg.defense {
+                Defense::GateTransmit {
+                    propagated_untaint: true,
+                    ..
+                } => vec![false; cfg.core.num_pregs],
+                _ => Vec::new(),
             },
             pending_bcast: 0,
             spec_window: false,
@@ -555,10 +550,8 @@ impl OooCore {
             return;
         }
         self.writeback();
-        self.update_safety();
-        self.update_taint();
+        self.restrict();
         self.broadcast();
-        self.expose_invisispec();
         self.issue();
         self.dispatch();
         self.fe
@@ -608,10 +601,8 @@ impl OooCore {
             // A committed value is architectural, hence untainted by
             // definition — this is the only untaint path for a register
             // that retires tainted in the same cycle its guard resolves.
-            if self.taint_on {
-                if let Some(prd) = e.prd {
-                    self.prf.set_taint(prd, false);
-                }
+            if let (Some(prd), Defense::GateTransmit { .. }) = (e.prd, self.cfg.defense) {
+                self.prf.set_taint(prd, false);
             }
             // Tag broadcast at retirement is always permitted: the head of
             // the ROB is non-speculative by definition (paper §4.3).
@@ -898,85 +889,80 @@ impl OooCore {
     }
 
     // ------------------------------------------------------------------
-    // Stage 3: the NDA safety walk (paper §5, Table 2)
+    // Stage 3: the speculation shadow and the active restriction
     // ------------------------------------------------------------------
 
-    fn update_safety(&mut self) {
-        // Baseline policies mark every micro-op safe at dispatch (see
-        // `dispatch`), so the walk has nothing to recompute. The fence
-        // border is maintained incrementally for every policy.
-        if self.policy_all_safe {
+    /// Compute this cycle's [`Shadow`] and run the active defense's
+    /// restriction — the cycle's only defense walk. Delay-on-miss needs
+    /// the shadow only at issue.
+    fn restrict(&mut self) {
+        let defense = self.cfg.defense;
+        if defense == Defense::None {
             return;
         }
-        let policy = self.cfg.policy;
-        let now = self.cycle;
-        let mut older_unresolved_branch = false;
-        let mut older_unresolved_store = false;
-        let mut is_head = true;
-        for e in self.rob.iter_mut() {
-            let mut safe = match policy.propagation {
-                Propagation::Off => true,
-                Propagation::Permissive => !e.inst.is_load_like() || !older_unresolved_branch,
-                Propagation::Strict => !older_unresolved_branch,
-            };
-            if policy.bypass_restriction && e.inst.is_load_like() && older_unresolved_store {
-                safe = false;
-            }
-            if policy.load_restriction && e.inst.is_load_like() && !is_head {
-                safe = false;
-            }
-            e.safe = safe;
-            if safe {
-                if e.safe_since.is_none() {
-                    e.safe_since = Some(now);
-                }
-            } else {
-                e.safe_since = None;
-            }
-            if e.is_unresolved_branch() {
-                older_unresolved_branch = true;
-            }
-            if e.inst.is_store() && !e.completed {
-                older_unresolved_store = true;
-            }
-            is_head = false;
+        self.shadow = Shadow::of(&self.rob, &self.sq);
+        match defense {
+            Defense::None | Defense::DelayOnMiss => {}
+            Defense::DelayBroadcast {
+                propagation,
+                bypass_restriction,
+                load_restriction,
+            } => self.update_safety(propagation, bypass_restriction, load_restriction),
+            Defense::InvisibleLoad(border) => self.expose_invisible_loads(border),
+            Defense::GateTransmit { border, .. } => self.update_taint(border),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Stage 3b: the STT taint walk (STT / ShadowBinding variants)
-    // ------------------------------------------------------------------
+    /// NDA (paper §5, Table 2): recompute every entry's `safe` bit. A load
+    /// is unsafe past the unresolved-branch border under either
+    /// propagation rule (any micro-op under strict), past the store border
+    /// under the Bypass Restriction, and past the head border under the
+    /// Load Restriction.
+    fn update_safety(
+        &mut self,
+        propagation: Propagation,
+        bypass_restriction: bool,
+        load_restriction: bool,
+    ) {
+        let (now, shadow) = (self.cycle, self.shadow);
+        for e in self.rob.iter_mut() {
+            let load = e.inst.is_load_like();
+            let branch_unsafe = match propagation {
+                Propagation::Off => false,
+                Propagation::Permissive => load,
+                Propagation::Strict => true,
+            };
+            e.safe = !((branch_unsafe && shadow.covers(Border::UnresolvedBranch, e.seq))
+                || (load && bypass_restriction && shadow.covers(Border::Store, e.seq))
+                || (load && load_restriction && shadow.covers(Border::Head, e.seq)));
+            if !e.safe {
+                e.safe_since = None;
+            } else if e.safe_since.is_none() {
+                e.safe_since = Some(now);
+            }
+        }
+    }
 
-    /// Recompute every in-flight entry's taint bit and mirror it into the
-    /// PRF. A load's destination is tainted while the load is *speculative*
-    /// under the configured threat model (Spectre: an older branch is
-    /// unresolved; Futuristic: the load is not the ROB head); taint then
-    /// flows from sources to destinations through the dataflow graph.
+    /// STT / ShadowBinding: recompute every in-flight entry's taint bit and
+    /// mirror it into the PRF. A load's destination is tainted while the
+    /// load is in `border`'s shadow; taint then flows from sources to
+    /// destinations through the dataflow graph.
     ///
     /// Producers are strictly older than their consumers, so one
     /// oldest→youngest pass over fresh PRF bits *is* the transitive
-    /// closure — exactly ShadowBinding's eager flash untaint: the cycle
-    /// the guarding branch resolves, the whole dependence tree reads
-    /// untainted. The `Propagated` timing additionally ORs in last
-    /// cycle's taint image, so taint *set* stays immediate while an
-    /// untaint ripples one dependency level per cycle (STT's untaint
-    /// reuses the existing wakeup bandwidth). The `Lazy` timing keys the
-    /// guard on branch *commit* (the branch leaving the ROB) instead of
-    /// resolution.
-    fn update_taint(&mut self) {
-        let Some(tp) = self.cfg.taint else { return };
-        let mut older_unresolved_branch = false;
-        let mut older_branch = false;
-        let mut is_head = true;
+    /// closure — exactly ShadowBinding's eager flash untaint: the cycle the
+    /// border passes a load, its whole dependence tree reads untainted.
+    /// Propagated untaint additionally ORs in last cycle's taint image, so
+    /// taint *set* stays immediate while an untaint ripples one dependency
+    /// level per cycle (STT's untaint reuses the existing wakeup
+    /// bandwidth). ShadowBinding's lazy untaint is the commit-keyed
+    /// [`Border::Branch`].
+    fn update_taint(&mut self, border: Border) {
+        let shadow = self.shadow;
         let prf = &mut self.prf;
         let prev = &self.taint_prev;
         for e in self.rob.iter_mut() {
-            let guard = match (tp.threat, tp.untaint) {
-                (TaintThreat::Spectre, UntaintTiming::Lazy) => older_branch,
-                (TaintThreat::Spectre, _) => older_unresolved_branch,
-                (TaintThreat::Futuristic, _) => !is_head,
-            };
-            let mut t = e.inst.is_load_like() && guard;
+            let mut t = e.inst.is_load_like() && shadow.covers(border, e.seq);
             if !t {
                 for &p in e.src_pregs.iter().flatten() {
                     if prf.is_tainted(p) || (!prev.is_empty() && prev[p as usize]) {
@@ -989,19 +975,61 @@ impl OooCore {
             if let Some(prd) = e.prd {
                 prf.set_taint(prd, t);
             }
-            if e.is_unresolved_branch() {
-                older_unresolved_branch = true;
-            }
-            if e.inst.is_branch() {
-                older_branch = true;
-            }
-            is_head = false;
         }
         if !self.taint_prev.is_empty() {
             for (i, prev) in self.taint_prev.iter_mut().enumerate() {
                 *prev = prf.is_tainted(i as PReg);
             }
         }
+    }
+
+    /// InvisiSpec: expose every completed probe load the border has passed.
+    /// Probes are loads, and a border's shadow is a suffix of the ROB, so
+    /// the walk covers the load queue only up to the first load in the
+    /// shadow.
+    fn expose_invisible_loads(&mut self, border: Border) {
+        let now = self.cycle;
+        let mut to_expose = std::mem::take(&mut self.scratch_seqs);
+        to_expose.clear();
+        for &seq in &self.lq {
+            if self.shadow.covers(border, seq) {
+                break;
+            }
+            let e = self.rob.get(seq).expect("lq entry");
+            if e.is_probe && e.completed && e.exposure_done.is_none() {
+                to_expose.push(seq);
+            }
+        }
+        for &seq in &to_expose {
+            let (addr, needs_validation) = {
+                let e = self.rob.get(seq).expect("probe entry");
+                (
+                    e.mem_addr.expect("probe has address"),
+                    e.bypassed_unresolved,
+                )
+            };
+            if needs_validation {
+                // The load speculated past an unresolved store address:
+                // InvisiSpec *validates* with a full re-access before the
+                // load may retire.
+                if let Some(acc) = self.hier.access_data(addr, now) {
+                    if let Some(e) = self.rob.get_mut(seq) {
+                        e.exposure_done = Some(now + acc.latency);
+                    }
+                }
+                // MSHR-full: retry next cycle.
+            } else {
+                // Plain exposure: the line moves from the load's
+                // speculative buffer into the cache; only an L1 fill is
+                // paid.
+                self.hier.install_data_line(addr);
+                let lat = self.cfg.mem.l1d.latency;
+                if let Some(e) = self.rob.get_mut(seq) {
+                    e.exposure_done = Some(now + lat);
+                }
+            }
+        }
+        self.scratch_seqs = to_expose;
     }
 
     /// Which operand slot of `inst` feeds a *transmit* channel — an
@@ -1023,7 +1051,7 @@ impl OooCore {
         }
     }
 
-    /// `true` while the taint policy must withhold issue of `e`: it is a
+    /// `true` while the transmit gate must withhold issue of `e`: it is a
     /// transmitting micro-op and the operand feeding its transmit channel
     /// is currently tainted. Not monotone (taint clears at resolution), so
     /// the gate re-checks every cycle and never touches the sticky
@@ -1115,65 +1143,6 @@ impl OooCore {
     }
 
     // ------------------------------------------------------------------
-    // InvisiSpec exposure (between broadcast and issue)
-    // ------------------------------------------------------------------
-
-    fn expose_invisispec(&mut self) {
-        let Some(variant) = self.cfg.invisispec else {
-            return;
-        };
-        let now = self.cycle;
-        // Determine each probe-load's safe point.
-        let mut older_unresolved_branch = false;
-        let mut is_head = true;
-        let mut to_expose = std::mem::take(&mut self.scratch_seqs);
-        to_expose.clear();
-        for e in self.rob.iter() {
-            let at_safe_point = match variant {
-                IsVariant::Spectre => !older_unresolved_branch,
-                IsVariant::Future => is_head,
-            };
-            if e.is_probe && e.completed && e.exposure_done.is_none() && at_safe_point {
-                to_expose.push(e.seq);
-            }
-            if e.is_unresolved_branch() {
-                older_unresolved_branch = true;
-            }
-            is_head = false;
-        }
-        for &seq in &to_expose {
-            let (addr, needs_validation) = {
-                let e = self.rob.get(seq).expect("probe entry");
-                (
-                    e.mem_addr.expect("probe has address"),
-                    e.bypassed_unresolved,
-                )
-            };
-            if needs_validation {
-                // The load speculated past an unresolved store address:
-                // InvisiSpec *validates* with a full re-access before the
-                // load may retire.
-                if let Some(acc) = self.hier.access_data(addr, now) {
-                    if let Some(e) = self.rob.get_mut(seq) {
-                        e.exposure_done = Some(now + acc.latency);
-                    }
-                }
-                // MSHR-full: retry next cycle.
-            } else {
-                // Plain exposure: the line moves from the load's
-                // speculative buffer into the cache; only an L1 fill is
-                // paid.
-                self.hier.install_data_line(addr);
-                let lat = self.cfg.mem.l1d.latency;
-                if let Some(e) = self.rob.get_mut(seq) {
-                    e.exposure_done = Some(now + lat);
-                }
-            }
-        }
-        self.scratch_seqs = to_expose;
-    }
-
-    // ------------------------------------------------------------------
     // Stage 5: issue (wake-up / select)
     // ------------------------------------------------------------------
 
@@ -1201,6 +1170,7 @@ impl OooCore {
         let head_seq = self.rob.head().map(|e| e.seq);
         let fence_border = self.fence_border();
         let tracing = self.tracer.is_some();
+        let gate = matches!(self.cfg.defense, Defense::GateTransmit { .. });
 
         // Index-based walk: `try_issue` never touches the issue queue, so
         // no snapshot clone is needed; issued slots are recorded (ascending)
@@ -1245,7 +1215,7 @@ impl OooCore {
             // issue while the operand feeding its transmit channel is
             // tainted. Checked after wakeup (the entry is otherwise ready)
             // so gated cycles are pure defense delay.
-            if self.taint_on {
+            if gate {
                 let e = self.rob.get(seq).expect("entry exists");
                 if self.taint_gated(e) {
                     if tracing && !e.taint_gate_traced {
@@ -1542,8 +1512,8 @@ impl OooCore {
 
         // Delay-on-miss (Sakalis et al.): a speculative load that would
         // miss the L1 is simply not issued until older branches resolve.
-        if self.cfg.core.delay_on_miss
-            && self.has_older_unresolved_branch(seq)
+        if self.cfg.defense == Defense::DelayOnMiss
+            && self.shadow.covers(Border::UnresolvedBranch, seq)
             && self.hier.probe_data(addr, now).level != nda_mem::Level::L1
         {
             return None;
@@ -1557,10 +1527,9 @@ impl OooCore {
         } else {
             value
         };
-        let speculative_probe = match self.cfg.invisispec {
-            None => false,
-            Some(IsVariant::Spectre) => self.has_older_unresolved_branch(seq),
-            Some(IsVariant::Future) => self.rob.head().map(|h| h.seq) != Some(seq),
+        let speculative_probe = match self.cfg.defense {
+            Defense::InvisibleLoad(border) => self.shadow.covers(border, seq),
+            _ => false,
         };
         let latency = if speculative_probe {
             extras.is_probe = true;
@@ -1573,13 +1542,6 @@ impl OooCore {
             acc.latency
         };
         Some((value, now + 1 + latency, extras))
-    }
-
-    fn has_older_unresolved_branch(&self, seq: u64) -> bool {
-        self.rob
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .any(|e| e.is_unresolved_branch())
     }
 
     // ------------------------------------------------------------------
@@ -1631,9 +1593,9 @@ impl OooCore {
             e.pred_taken = uop.pred_taken;
             e.ghr_before = uop.ghr_before;
             e.ras_after = uop.ras_after;
-            if self.policy_all_safe {
-                // The safety walk is skipped for baseline policies; it would
-                // first observe this entry (and mark it safe) next cycle.
+            if !matches!(self.cfg.defense, Defense::DelayBroadcast { .. }) {
+                // Only NDA runs the safety walk; it would first observe
+                // this entry (and mark it safe) next cycle.
                 e.safe = true;
                 e.safe_since = Some(now + 1);
             }
@@ -1737,11 +1699,9 @@ impl OooCore {
                 self.free.release(prd);
                 // Squashed values vanish; leave no taint behind on the
                 // freed register (the drain property checks the whole PRF).
-                if self.taint_on {
-                    self.prf.set_taint(prd, false);
-                    if !self.taint_prev.is_empty() {
-                        self.taint_prev[prd as usize] = false;
-                    }
+                self.prf.set_taint(prd, false);
+                if !self.taint_prev.is_empty() {
+                    self.taint_prev[prd as usize] = false;
                 }
             }
         }
@@ -1841,21 +1801,18 @@ impl OooCore {
     /// this is identically false on the unprotected baselines — pinned by
     /// the `nda_delay`-is-zero property test.
     fn nda_delay_cycle(&self) -> bool {
-        if self.policy_all_safe && self.cfg.invisispec.is_none() && !self.taint_on {
-            return false;
-        }
-        // STT/ShadowBinding (mutually exclusive with restrictive NDA and
-        // InvisiSpec): the defense is the bottleneck when the oldest
-        // un-issued micro-op is woken up but its transmit operand is
-        // tainted.
-        if self.taint_on {
-            let Some(&seq) = self.iq.first() else {
-                return false;
-            };
-            let Some(e) = self.rob.get(seq) else {
-                return false;
-            };
-            return (e.srcs_visible_cached || self.srcs_visible(e)) && self.taint_gated(e);
+        match self.cfg.defense {
+            Defense::None | Defense::DelayOnMiss => return false,
+            // STT/ShadowBinding: the defense is the bottleneck when the
+            // oldest un-issued micro-op is woken up but its transmit
+            // operand is tainted.
+            Defense::GateTransmit { .. } => {
+                let Some(e) = self.iq.first().and_then(|&seq| self.rob.get(seq)) else {
+                    return false;
+                };
+                return (e.srcs_visible_cached || self.srcs_visible(e)) && self.taint_gated(e);
+            }
+            Defense::DelayBroadcast { .. } | Defense::InvisibleLoad(_) => {}
         }
         let now = self.cycle;
         let extra = self.cfg.core.broadcast_extra_delay;

@@ -25,6 +25,7 @@
 //! abort.
 
 use super::core::OooCore;
+use crate::policy::Defense;
 use crate::snapshot::PipelineSnapshot;
 use nda_isa::inst::UopClass;
 use std::fmt;
@@ -51,7 +52,7 @@ pub enum InvariantKind {
     CommitDivergence,
     /// The STT/ShadowBinding taint discipline was violated: a transmitting
     /// micro-op issued while its transmit operand was tainted, taint
-    /// survived an empty ROB, or taint state exists with no taint policy.
+    /// survived an empty ROB, or taint state exists with no transmit gate.
     TaintGate,
 }
 
@@ -314,21 +315,21 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
 /// tainted transmit operands (taint is monotone non-increasing for a live
 /// register, so an issued in-flight transmitter with a *currently* tainted
 /// transmit source can only mean the gate was bypassed); taint drains with
-/// the ROB; and no taint state exists unless a taint policy is active.
+/// the ROB; and no taint state exists unless a transmit gate is active.
 fn check_taint_gate(core: &OooCore) -> Option<(InvariantKind, String)> {
     let pregs = 0..core.prf.len() as super::rename::PReg;
-    if core.cfg.taint.is_none() {
+    if !matches!(core.cfg.defense, Defense::GateTransmit { .. }) {
         if let Some(p) = pregs.clone().find(|&p| core.prf.is_tainted(p)) {
             return Some((
                 InvariantKind::TaintGate,
-                format!("p{p} tainted with no taint policy active"),
+                format!("p{p} tainted with no transmit gate active"),
             ));
         }
         if let Some(e) = core.rob.iter().find(|e| e.tainted) {
             return Some((
                 InvariantKind::TaintGate,
                 format!(
-                    "seq {} pc {} `{}` marked tainted with no taint policy active",
+                    "seq {} pc {} `{}` marked tainted with no transmit gate active",
                     e.seq, e.pc, e.inst
                 ),
             ));

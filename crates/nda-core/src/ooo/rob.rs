@@ -7,6 +7,7 @@
 //! snapshots) and everything the LSQ needs (addresses, forwarding sources).
 
 use super::rename::PReg;
+use crate::policy::Border;
 use nda_isa::{Fault, Inst, Reg};
 use nda_predict::RasSnapshot;
 use std::collections::VecDeque;
@@ -97,7 +98,8 @@ pub struct RobEntry {
     /// STT taint bit of this entry's destination: the value is (derived
     /// from) a speculatively-loaded datum. Mirrors the PRF taint bit of
     /// `prd`; recomputed every cycle by the taint walk while a
-    /// [`TaintPolicy`](crate::policy::TaintPolicy) is active.
+    /// [`Defense::GateTransmit`](crate::policy::Defense::GateTransmit) is
+    /// active.
     pub tainted: bool,
     /// Trace bookkeeping: a `TaintGated` event has been emitted for this
     /// entry (emit once per instance, on the first withheld issue).
@@ -160,12 +162,6 @@ impl RobEntry {
     /// strict/permissive unsafe border (paper §5.1).
     pub fn is_unresolved_branch(&self) -> bool {
         self.inst.is_branch() && !self.branch_resolved
-    }
-
-    /// `true` for an in-flight store whose address is still unknown — the
-    /// Bypass Restriction border (paper §5.2).
-    pub fn is_unresolved_store(&self) -> bool {
-        self.inst.is_store() && self.mem_addr.is_none()
     }
 }
 
@@ -257,6 +253,68 @@ impl Rob {
     }
 }
 
+/// The speculation shadow of one cycle: the sequence number of each
+/// [`Border`], or `u64::MAX` where nothing casts one. A micro-op is inside
+/// a border's shadow iff its sequence number is greater.
+///
+/// The core computes it once per cycle, right after writeback. Branches
+/// resolve and stores complete only in writeback, and squashes happen only
+/// in commit and writeback, so every later stage of the cycle (the
+/// restriction walk, broadcast, the issue-time checks) sees the same
+/// borders a fresh ROB walk would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shadow {
+    unresolved_branch: u64,
+    branch: u64,
+    /// The Bypass Restriction predicate: an older store has not completed
+    /// (its address is unknown, or it has not yet been checked against
+    /// younger loads that bypassed it).
+    store: u64,
+    head: u64,
+}
+
+impl Shadow {
+    /// No border at all.
+    pub(crate) const NONE: Shadow = Shadow {
+        unresolved_branch: u64::MAX,
+        branch: u64::MAX,
+        store: u64::MAX,
+        head: u64::MAX,
+    };
+
+    /// The borders of `rob`, whose in-flight stores are `stores`
+    /// (ascending sequence numbers). The branch borders come from a scan
+    /// that stops at the oldest unresolved branch.
+    pub(crate) fn of(rob: &Rob, stores: &[u64]) -> Shadow {
+        let mut shadow = Shadow::NONE;
+        for e in rob.iter().filter(|e| e.inst.is_branch()) {
+            shadow.branch = shadow.branch.min(e.seq);
+            if !e.branch_resolved {
+                shadow.unresolved_branch = e.seq;
+                break;
+            }
+        }
+        shadow.store = stores
+            .iter()
+            .copied()
+            .find(|&s| rob.get(s).is_some_and(|e| !e.completed))
+            .unwrap_or(u64::MAX);
+        shadow.head = rob.head().map_or(u64::MAX, |e| e.seq);
+        shadow
+    }
+
+    /// `true` if `seq` is younger than `border`.
+    #[inline]
+    pub(crate) fn covers(&self, border: Border, seq: u64) -> bool {
+        seq > match border {
+            Border::UnresolvedBranch => self.unresolved_branch,
+            Border::Branch => self.branch,
+            Border::Store => self.store,
+            Border::Head => self.head,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,25 +371,42 @@ mod tests {
     }
 
     #[test]
-    fn unresolved_markers() {
+    fn unresolved_branch_marker() {
         let mut e = RobEntry::new(0, 0, Inst::Jmp { target: 0 }, 0);
         assert!(e.is_unresolved_branch());
         e.branch_resolved = true;
         assert!(!e.is_unresolved_branch());
+    }
 
-        let mut s = RobEntry::new(
-            1,
-            1,
-            Inst::Store {
-                src: Reg::X2,
-                base: Reg::X3,
-                off: 0,
-                size: nda_isa::MemSize::B8,
-            },
-            0,
-        );
-        assert!(s.is_unresolved_store());
-        s.mem_addr = Some(0x100);
-        assert!(!s.is_unresolved_store());
+    #[test]
+    fn shadow_borders_come_from_the_oldest_pending_entries() {
+        let store = Inst::Store {
+            src: Reg::X2,
+            base: Reg::X3,
+            off: 0,
+            size: nda_isa::MemSize::B8,
+        };
+        let mut r = Rob::new(8);
+        r.push(entry(10));
+        let mut b = RobEntry::new(11, 11, Inst::Jmp { target: 0 }, 0);
+        b.branch_resolved = true;
+        r.push(b);
+        r.push(RobEntry::new(12, 12, Inst::Jmp { target: 0 }, 0));
+        let mut st = RobEntry::new(13, 13, store, 0);
+        st.completed = true;
+        r.push(st);
+        r.push(RobEntry::new(14, 14, store, 0));
+        let sh = Shadow::of(&r, &[13, 14]);
+        // Strictly younger than the border is inside its shadow.
+        for (border, seq) in [
+            (Border::Head, 10),
+            (Border::Branch, 11),
+            (Border::UnresolvedBranch, 12),
+            (Border::Store, 14),
+        ] {
+            assert!(!sh.covers(border, seq), "{border:?}");
+            assert!(sh.covers(border, seq + 1), "{border:?}");
+        }
+        assert!(!Shadow::NONE.covers(Border::Head, u64::MAX - 1));
     }
 }

@@ -2,7 +2,7 @@
 //! one distinct property the modules cannot test in isolation.
 
 use nda_core::config::SimConfig;
-use nda_core::{NdaPolicy, OooCore, Variant};
+use nda_core::{OooCore, Variant};
 use nda_isa::{Asm, MemSize, Reg};
 
 fn run_ooo(asm: &Asm) -> OooCore {
@@ -374,12 +374,8 @@ fn strict_defers_more_than_permissive() {
     asm.bind(done);
     asm.halt();
 
-    let mut perm = SimConfig::ooo();
-    perm.policy = NdaPolicy::permissive();
-    let mut strict = SimConfig::ooo();
-    strict.policy = NdaPolicy::strict();
-    let p = run_with(&asm, perm);
-    let s = run_with(&asm, strict);
+    let p = run_with(&asm, SimConfig::for_variant(Variant::Permissive));
+    let s = run_with(&asm, SimConfig::for_variant(Variant::Strict));
     assert!(
         s.stats.deferred_broadcasts > p.stats.deferred_broadcasts,
         "strict defers arithmetic too ({} vs {})",

@@ -619,19 +619,9 @@ pub(crate) enum AnalyzeTarget {
 }
 
 /// Fuzzy attack lookup, same rules as the CLI.
-pub(crate) fn parse_attack(name: &str) -> Option<AttackKind> {
-    let squash = |s: &str| {
-        s.to_ascii_lowercase()
-            .replace([' ', '-', '_', '(', ')'], "")
-    };
-    AttackKind::all()
-        .into_iter()
-        .find(|k| squash(k.name()).contains(&squash(name)))
-}
-
 /// Resolve an analyze target: attack name first, then workload name.
 pub(crate) fn resolve_analyze_target(name: &str) -> Option<AnalyzeTarget> {
-    if let Some(k) = parse_attack(name) {
+    if let Some(k) = AttackKind::parse(name) {
         return Some(AnalyzeTarget::Attack(k));
     }
     by_name(name).map(AnalyzeTarget::Workload)
@@ -664,7 +654,7 @@ fn execute_analyze(spec: &AnalyzeSpec) -> Outcome {
 }
 
 fn execute_trace(shared: &Shared, spec: &TraceSpec) -> Outcome {
-    let Some(k) = parse_attack(&spec.attack) else {
+    let Some(k) = AttackKind::parse(&spec.attack) else {
         return Outcome::fail(format!("unknown attack {:?}", spec.attack));
     };
     let mut cfg = SimConfig::for_variant(spec.variant);

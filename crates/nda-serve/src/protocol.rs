@@ -45,6 +45,7 @@
 //! that can (chaos plans, deadlines, retry budgets) are included.
 
 use crate::json::Json;
+use nda_attacks::AttackKind;
 use nda_core::Variant;
 use nda_trace::TraceFormat;
 
@@ -172,17 +173,6 @@ pub struct Request {
     pub op: Op,
 }
 
-/// Fuzzy variant lookup, same rules as the CLI (`"full-protection"`,
-/// `"FullProtection"`, `"full protection"` all resolve).
-pub fn parse_variant(name: &str) -> Option<Variant> {
-    Variant::all().into_iter().find(|v| {
-        v.name().eq_ignore_ascii_case(name)
-            || v.name()
-                .replace([' ', '-'], "")
-                .eq_ignore_ascii_case(&name.replace(['-', '_'], ""))
-    })
-}
-
 fn field_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
     match obj.get(key) {
         None => Ok(default),
@@ -233,7 +223,7 @@ impl Request {
             }
             (Some(v), None) => {
                 let name = v.as_str().ok_or("\"variant\" must be a string")?;
-                let v = parse_variant(name).ok_or(format!("unknown variant {name:?}"))?;
+                let v = Variant::parse(name).ok_or(format!("unknown variant {name:?}"))?;
                 (vec![v], false)
             }
             (None, Some(list)) => {
@@ -246,7 +236,7 @@ impl Request {
                     let name = item
                         .as_str()
                         .ok_or("\"variants\" entries must be strings")?;
-                    vs.push(parse_variant(name).ok_or(format!("unknown variant {name:?}"))?);
+                    vs.push(Variant::parse(name).ok_or(format!("unknown variant {name:?}"))?);
                 }
                 (vs, true)
             }
@@ -315,14 +305,14 @@ impl Request {
 
     fn parse_trace(obj: &Json) -> Result<TraceSpec, String> {
         let attack = field_str(obj, "attack")?.to_string();
-        if crate::engine::parse_attack(&attack).is_none() {
+        if AttackKind::parse(&attack).is_none() {
             return Err(format!("unknown attack {attack:?}"));
         }
         let variant = match obj.get("variant") {
             None => Variant::Ooo,
             Some(v) => {
                 let name = v.as_str().ok_or("\"variant\" must be a string")?;
-                parse_variant(name).ok_or(format!("unknown variant {name:?}"))?
+                Variant::parse(name).ok_or(format!("unknown variant {name:?}"))?
             }
         };
         if variant == Variant::InOrder {
@@ -505,8 +495,11 @@ mod tests {
             r#"{"id":1,"op":"run","workload":"mcf","variant":"nope"}"#,
             r#"{"id":1,"op":"frobnicate"}"#,
             r#"{"id":1,"op":"trace","attack":"nope"}"#,
+            r#"{"id":1,"op":"trace","attack":""}"#,
+            r#"{"id":1,"op":"run","workload":"mcf","variant":""}"#,
             r#"{"id":1,"op":"trace","attack":"meltdown","variant":"InOrder"}"#,
             r#"{"id":1,"op":"analyze","target":"nope"}"#,
+            r#"{"id":1,"op":"analyze","target":""}"#,
             r#"{"op":"stats"}"#,
         ] {
             assert!(Request::parse(line).is_err(), "accepted {line}");

@@ -8,7 +8,7 @@
 
 use nda::attacks::{run_attack, AttackKind};
 use nda::core::config::SimConfig;
-use nda::core::{NdaPolicy, OooCore};
+use nda::core::OooCore;
 use nda::Variant;
 
 fn main() {
@@ -53,5 +53,4 @@ fn main() {
     println!("   to retire, and a faulting load never retires;");
     println!(" * fixing the specific flaw also works — until the next flaw (MDS,");
     println!("   Foreshadow, ...); load restriction is the blanket defense.");
-    let _ = NdaPolicy::restricted_loads();
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use nda::core::config::SimConfig;
-use nda::core::{render_pipeline, NdaPolicy, OooCore, Variant};
+use nda::core::{render_pipeline, OooCore, Variant};
 use nda::{Asm, Reg};
 
 fn listing1_like() -> nda::Program {
@@ -33,11 +33,9 @@ fn listing1_like() -> nda::Program {
     asm.assemble().expect("assembles")
 }
 
-fn show(name: &str, policy: NdaPolicy) {
+fn show(name: &str, variant: Variant) {
     let program = listing1_like();
-    let mut cfg = SimConfig::for_variant(Variant::Ooo);
-    cfg.policy = policy;
-    let mut core = OooCore::new(cfg, &program);
+    let mut core = OooCore::new(SimConfig::for_variant(variant), &program);
     core.enable_trace();
     for _ in 0..3_000 {
         core.step_cycle();
@@ -45,7 +43,7 @@ fn show(name: &str, policy: NdaPolicy) {
             break;
         }
     }
-    println!("=== {name} (policy: {policy}) ===");
+    println!("=== {name} (variant: {variant}) ===");
     // Show the window: from the first dispatch of the bounds load onward.
     let first = core
         .trace_events()
@@ -62,8 +60,8 @@ fn show(name: &str, policy: NdaPolicy) {
 
 fn main() {
     println!("D dispatch, I issue, C complete, B broadcast, R retire, x squash\n");
-    show("insecure OoO", NdaPolicy::ooo());
-    show("NDA strict propagation", NdaPolicy::strict());
+    show("insecure OoO", Variant::Ooo);
+    show("NDA strict propagation", Variant::Strict);
     println!("Read it like the paper's Fig 2/Fig 6: under strict, wrong-path");
     println!("entries complete (C) but never broadcast (B) — their dependents'");
     println!("I markers never appear, so the transmit load never executes.");

@@ -105,25 +105,6 @@ use std::process::ExitCode;
 
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-fn parse_variant(name: &str) -> Option<Variant> {
-    Variant::all().into_iter().find(|v| {
-        v.name().eq_ignore_ascii_case(name)
-            || v.name()
-                .replace([' ', '-'], "")
-                .eq_ignore_ascii_case(&name.replace(['-', '_'], ""))
-    })
-}
-
-fn parse_attack(name: &str) -> Option<AttackKind> {
-    let squash = |s: &str| {
-        s.to_ascii_lowercase()
-            .replace([' ', '-', '_', '(', ')'], "")
-    };
-    AttackKind::all()
-        .into_iter()
-        .find(|k| squash(k.name()).contains(&squash(name)))
-}
-
 struct Opts {
     variant: Variant,
     iters: u64,
@@ -217,7 +198,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--variant" => {
                 let v = val("--variant")?;
-                o.variant = parse_variant(&v).ok_or(format!("unknown variant {v:?}"))?;
+                o.variant = Variant::parse(&v).ok_or(format!("unknown variant {v:?}"))?;
             }
             "--iters" => {
                 o.iters = val("--iters")?
@@ -610,7 +591,7 @@ fn cmd_run(name: &str, o: &Opts) -> Result<(), String> {
 }
 
 fn cmd_attack(name: &str, o: &Opts) -> Result<(), String> {
-    let k = parse_attack(name).ok_or(format!("unknown attack {name:?} (see `attacks`)"))?;
+    let k = AttackKind::parse(name).ok_or(format!("unknown attack {name:?} (see `attacks`)"))?;
     let out = run_attack(k, o.variant, o.secret);
     println!(
         "{} on {} (secret {:#04x})",
@@ -812,7 +793,7 @@ fn cmd_exec(path: &str, o: &Opts) -> Result<(), String> {
 
 fn cmd_trace(name: &str, o: &Opts) -> Result<(), String> {
     use nda::core::{render_pipeline, OooCore};
-    let k = parse_attack(name).ok_or(format!("unknown attack {name:?}"))?;
+    let k = AttackKind::parse(name).ok_or(format!("unknown attack {name:?}"))?;
     let mut cfg = nda::core::config::SimConfig::for_variant(o.variant);
     k.tweak_config(&mut cfg);
     let program = k.program(o.secret);
@@ -903,7 +884,7 @@ fn resolve_target(
     ),
     String,
 > {
-    if let Some(k) = parse_attack(target) {
+    if let Some(k) = AttackKind::parse(target) {
         return Ok((
             k.program(o.secret),
             k.secret_spec(),

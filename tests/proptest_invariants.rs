@@ -5,13 +5,13 @@
 //! knobs and cache geometries.
 
 use nda_core::config::SimConfig;
-use nda_core::{run_with_config, NdaPolicy, OooCore, Propagation, Variant};
+use nda_core::{run_with_config, Defense, OooCore, Propagation, Variant};
 use nda_isa::genprog::{generate, GenConfig};
 use nda_isa::Interp;
 use proptest::prelude::*;
 
-fn arb_policy() -> impl Strategy<Value = NdaPolicy> {
-    (0..3u8, any::<bool>(), any::<bool>()).prop_map(|(p, br, lr)| NdaPolicy {
+fn arb_policy() -> impl Strategy<Value = Defense> {
+    (0..3u8, any::<bool>(), any::<bool>()).prop_map(|(p, br, lr)| Defense::DelayBroadcast {
         propagation: match p {
             0 => Propagation::Off,
             1 => Propagation::Permissive,
@@ -35,8 +35,7 @@ proptest! {
         let program = generate(seed, GenConfig { target_len: 100, max_depth: 2, indirect: true, fences: true, msrs: true });
         let mut oracle = Interp::new(&program);
         let exit = oracle.run(2_000_000).expect("oracle");
-        let mut cfg = SimConfig::ooo();
-        cfg.policy = policy;
+        let cfg = SimConfig { defense: policy, ..SimConfig::ooo() };
         let r = run_with_config(cfg, &program, 50_000_000).expect("sim");
         prop_assert!(r.halted);
         prop_assert_eq!(&r.regs, oracle.regs());
@@ -56,12 +55,11 @@ proptest! {
         let program = generate(seed, GenConfig { target_len: 80, max_depth: 2, indirect: false, fences: true, msrs: true });
         let mut oracle = Interp::new(&program);
         oracle.run(2_000_000).expect("oracle");
-        let mut cfg = SimConfig::ooo();
+        let mut cfg = SimConfig::for_variant(Variant::FullProtection);
         cfg.core.issue_width = issue_width;
         cfg.core.broadcast_extra_delay = extra_delay;
         cfg.core.speculative_store_bypass = ssb;
         cfg.core.meltdown_flaw = flaw;
-        cfg.policy = NdaPolicy::full_protection();
         let r = run_with_config(cfg, &program, 100_000_000).expect("sim");
         prop_assert_eq!(&r.regs, oracle.regs());
     }
@@ -126,8 +124,7 @@ proptest! {
             );
             let mut regs = Vec::new();
             for (i, delay) in [0u64, 2].into_iter().enumerate() {
-                let mut cfg = SimConfig::ooo();
-                cfg.policy = NdaPolicy::strict();
+                let mut cfg = SimConfig::for_variant(Variant::Strict);
                 cfg.core.broadcast_extra_delay = delay;
                 let r = run_with_config(cfg, &program, 50_000_000).expect("sim");
                 totals[i] += r.stats.cycles;
