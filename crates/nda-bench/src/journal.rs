@@ -1,4 +1,4 @@
-//! Crash-safe sweep journal: one checksummed record file per completed
+//! Crash-safe sweep journal: one checksummed record per completed
 //! (workload, variant, sample) cell, written atomically, so a killed
 //! sweep resumes by re-running only the missing or failed cells.
 //!
@@ -10,40 +10,48 @@
 //! <dir>/quarantine/       corrupt records moved aside on load
 //! ```
 //!
-//! Record format (text, line-oriented):
+//! Every record is a blob of `nda-core`'s shared [`BlobStore`], which
+//! owns the checksummed header, the key-material check, the atomic
+//! tmp + fsync + rename write and quarantine:
 //!
 //! ```text
-//! nda-journal-v1 <fnv1a64-hex>
-//! status=ok            (or status=failed)
-//! <key>=<value>        bit-exact payload: u64s in decimal,
-//! ...                  f64s as IEEE-754 bit patterns in hex
+//! nda-journal-v2 <checksum:016x>\n   ASCII header line
+//! <cell key, length-prefixed>         (w, v, s) as three u64s
+//! 0x00 <RunResult encoding>           an Ok cell, or
+//! 0x01 <kind> <error text>            a failed cell (both length-prefixed)
 //! ```
 //!
-//! The checksum on the header line is FNV-1a 64 over every byte after
-//! that line. Writes go to `<name>.tmp`, are fsynced, then renamed into
-//! place — a kill mid-write leaves at worst a stale `.tmp`, never a
-//! half-written record. A record that fails its checksum (truncated,
+//! The `RunResult` encoding is the result store's ([`encode_result`]),
+//! so a journaled result is bit-identical to the in-memory one — the
+//! resume-equals-clean-run property is exact equality, not approximate.
+//! `meta.rec` has empty key material and the length-prefixed sweep
+//! description as its body.
+//!
+//! A cell record that fails its frame, checksum or decoder (truncated,
 //! bit-flipped) is *quarantined*: moved into `quarantine/` and treated as
 //! missing, so resume re-runs that cell instead of trusting or deleting
-//! the evidence.
-//!
-//! Floats are serialized as `to_bits()` hex so a journaled result is
-//! bit-identical to the in-memory one — the resume-equals-clean-run
-//! property is exact equality, not approximate.
+//! the evidence. A corrupt `meta.rec`, or one written in the retired
+//! `nda-journal-v1` text format, refuses the whole journal and is left
+//! in place.
 
 use crate::fault::JobError;
-use nda_core::{RunResult, SampledInfo};
-use nda_mem::{CacheStats, MemStats};
-use nda_stats::{CpiClass, Hist, Sample, SimStats};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use nda_core::codec::{Blob, BlobStore, Dec, Enc};
+use nda_core::result_store::{decode_result, encode_result};
+use nda_core::RunResult;
+use nda_stats::CpiClass;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every record's header line.
-const MAGIC: &str = "nda-journal-v1";
+const MAGIC: &str = "nda-journal-v2";
+/// Header prefix of the retired text format, refused on open.
+const MAGIC_V1: &str = "nda-journal-v1";
+const META: &str = "meta.rec";
+const STATUS_OK: u8 = 0;
+const STATUS_FAILED: u8 = 1;
 
 /// A cell key: (workload index, variant index, sample index).
 pub type CellKey = (usize, usize, usize);
@@ -61,8 +69,9 @@ pub enum JournalError {
         message: String,
     },
     /// The journal on disk was written by a sweep of a different shape
-    /// (different workloads, variants, samples, iters, seed or mode) —
-    /// resuming would silently mix incompatible results.
+    /// (different workloads, variants, samples, iters, seed or mode), or
+    /// in another format version — resuming would silently mix
+    /// incompatible results.
     ConfigMismatch {
         /// What differed.
         detail: String,
@@ -104,19 +113,7 @@ pub struct JournalState {
 /// Handle on a journal directory.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    dir: PathBuf,
-}
-
-/// FNV-1a 64-bit over `data` — small, dependency-free, and plenty to
-/// detect truncation and bit flips (this is corruption detection, not
-/// authentication).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    blobs: BlobStore,
 }
 
 fn io_err(path: &Path, e: impl fmt::Display) -> JournalError {
@@ -126,69 +123,75 @@ fn io_err(path: &Path, e: impl fmt::Display) -> JournalError {
     }
 }
 
-/// Write `body` to `path` atomically: tmp file in the same directory,
-/// fsync, rename.
-fn write_atomic(path: &Path, body: &str) -> Result<(), JournalError> {
-    let tmp = path.with_extension("tmp");
-    let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-    f.write_all(body.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-    f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    Ok(())
+/// A record's key material: the cell key it was written for.
+fn cell_material((w, v, s): CellKey) -> Vec<u8> {
+    [w, v, s]
+        .iter()
+        .flat_map(|&x| (x as u64).to_le_bytes())
+        .collect()
 }
 
-/// Frame `payload` with the checksummed header line.
-fn frame(payload: &str) -> String {
-    format!("{MAGIC} {:016x}\n{payload}", fnv1a64(payload.as_bytes()))
-}
-
-/// Validate a record's frame; `None` when the magic or checksum is wrong.
-fn unframe(text: &str) -> Option<&str> {
-    let (header, payload) = text.split_once('\n')?;
-    let (magic, sum_hex) = header.split_once(' ')?;
-    if magic != MAGIC {
-        return None;
+/// Decode a cell record body: `Some(Some(r))` for Ok, `Some(None)` for
+/// failed, `None` when malformed.
+fn decode_record(d: &mut Dec<'_>) -> Option<Option<RunResult>> {
+    match d.u8()? {
+        STATUS_OK => decode_result(d).map(Some),
+        STATUS_FAILED => {
+            d.bytes()?; // kind
+            d.bytes()?; // error text
+            Some(None)
+        }
+        _ => None,
     }
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    (sum == fnv1a64(payload.as_bytes())).then_some(payload)
 }
 
 impl Journal {
     /// Open (creating if needed) the journal at `dir` for a sweep
     /// described by `meta` — a stable string naming the sweep shape.
-    /// An existing journal with a *different* meta is refused
+    /// An existing journal with a *different* meta, a corrupt meta or one
+    /// in the retired v1 format is refused
     /// ([`JournalError::ConfigMismatch`]) rather than silently mixed.
     /// Returns the handle plus whatever valid progress was on disk.
     pub fn open(dir: &Path, meta: &str) -> Result<(Journal, JournalState), JournalError> {
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let j = Journal {
-            dir: dir.to_path_buf(),
-        };
-        let meta_path = j.dir.join("meta.rec");
-        match fs::read_to_string(&meta_path) {
-            Ok(text) => match unframe(&text) {
-                Some(existing) if existing == meta => {}
-                Some(existing) => {
-                    return Err(JournalError::ConfigMismatch {
-                        detail: format!("on disk: {existing:?}; this sweep: {meta:?}"),
-                    });
-                }
-                // A corrupt meta record means nothing on disk can be
-                // trusted to belong to this sweep shape.
-                None => {
-                    return Err(JournalError::ConfigMismatch {
-                        detail: format!(
-                            "meta record {} is corrupt; delete the journal to start over",
-                            meta_path.display()
-                        ),
-                    });
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                write_atomic(&meta_path, &frame(meta))?;
+        let blobs = BlobStore::open(dir, MAGIC, "rec").map_err(|e| io_err(dir, e))?;
+        let j = Journal { blobs };
+        let meta_path = j.blobs.path(META);
+        let on_disk = j
+            .blobs
+            .read(META, b"", |d| d.bytes().map(<[u8]>::to_vec))
+            .map_err(|e| io_err(&meta_path, e))?;
+        match on_disk {
+            Blob::Hit(existing) if existing == meta.as_bytes() => {}
+            Blob::Hit(existing) => {
+                return Err(JournalError::ConfigMismatch {
+                    detail: format!(
+                        "on disk: {:?}; this sweep: {meta:?}",
+                        String::from_utf8_lossy(&existing)
+                    ),
+                });
             }
-            Err(e) => return Err(io_err(&meta_path, e)),
+            Blob::Miss => {
+                j.blobs
+                    .put(META, b"", |e| e.bytes(meta.as_bytes()))
+                    .map_err(|e| io_err(&meta_path, e))?;
+            }
+            // A corrupt meta record means nothing on disk can be trusted
+            // to belong to this sweep shape; it is left in place.
+            Blob::Corrupt => {
+                let v1 = fs::read(&meta_path)
+                    .is_ok_and(|b| b.starts_with(format!("{MAGIC_V1} ").as_bytes()));
+                let what = if v1 {
+                    format!("is in the {MAGIC_V1} format, but this build reads only {MAGIC}")
+                } else {
+                    "is corrupt".to_string()
+                };
+                return Err(JournalError::ConfigMismatch {
+                    detail: format!(
+                        "meta record {} {what}; delete the journal to start over",
+                        meta_path.display()
+                    ),
+                });
+            }
         }
         let state = j.load()?;
         Ok((j, state))
@@ -196,63 +199,73 @@ impl Journal {
 
     /// The journal directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.blobs.dir()
     }
 
-    fn record_path(&self, (w, v, s): CellKey) -> PathBuf {
-        self.dir.join(format!("c{w}-{v}-{s}.rec"))
+    fn put(&self, cell: CellKey, body: impl FnOnce(&mut Enc)) -> Result<(), JournalError> {
+        let name = record_name(cell);
+        self.blobs
+            .put(&name, &cell_material(cell), body)
+            .map(drop)
+            .map_err(|e| io_err(&self.blobs.path(&name), e))
     }
 
     /// Journal a successful cell.
     pub fn record_ok(&self, cell: CellKey, r: &RunResult) -> Result<(), JournalError> {
-        let mut p = String::from("status=ok\n");
-        serialize_run(&mut p, r);
-        write_atomic(&self.record_path(cell), &frame(&p))
+        self.put(cell, |e| {
+            e.u8(STATUS_OK);
+            encode_result(e, r);
+        })
     }
 
     /// Journal a failed cell (after retries were exhausted). Failed
     /// records are evidence, not results: resume re-runs the cell.
-    pub fn record_failed(&self, cell: CellKey, e: &JobError) -> Result<(), JournalError> {
-        let p = format!("status=failed\nkind={}\nerror={}\n", e.kind_label(), {
-            // Keep the record line-oriented: the error text is collapsed
-            // onto one line (snapshots are multi-line).
-            e.to_string().replace('\n', " | ")
-        });
-        write_atomic(&self.record_path(cell), &frame(&p))
+    pub fn record_failed(&self, cell: CellKey, err: &JobError) -> Result<(), JournalError> {
+        self.put(cell, |e| {
+            e.u8(STATUS_FAILED);
+            e.bytes(err.kind_label().as_bytes());
+            e.bytes(err.to_string().as_bytes());
+        })
     }
 
     /// Scan the directory, returning every valid record and quarantining
     /// corrupt ones.
     fn load(&self) -> Result<JournalState, JournalError> {
         let mut state = JournalState::default();
-        let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&self.dir, e))?;
-            let path = entry.path();
-            let name = entry.file_name();
+        let dir = self.blobs.dir();
+        for entry in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+            let name = entry.map_err(|e| io_err(dir, e))?.file_name();
             let name = name.to_string_lossy();
             let Some(cell) = parse_record_name(&name) else {
-                continue; // meta.rec, quarantine/, stale .tmp files
+                continue; // meta.rec, quarantine/, stale temporaries
             };
-            let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-            match unframe(&text).and_then(parse_record) {
-                Some(Record::Ok(r)) => {
+            let path = self.blobs.path(&name);
+            match self
+                .blobs
+                .read(&name, &cell_material(cell), decode_record)
+                .map_err(|e| io_err(&path, e))?
+            {
+                Blob::Hit(Some(r)) => {
                     state.ok.insert(cell, r);
                 }
-                Some(Record::Failed) => {
+                Blob::Hit(None) => {
                     state.failed.insert(cell);
                 }
-                None => {
-                    let qdir = self.dir.join("quarantine");
-                    fs::create_dir_all(&qdir).map_err(|e| io_err(&qdir, e))?;
-                    let qpath = qdir.join(name.as_ref());
-                    fs::rename(&path, &qpath).map_err(|e| io_err(&path, e))?;
+                // Vanished since the scan, or written for another cell.
+                Blob::Miss => {}
+                Blob::Corrupt => {
+                    let qpath = self.blobs.quarantine(&name).map_err(|e| io_err(&path, e))?;
                     state.quarantined.push(qpath);
                 }
             }
         }
         Ok(state)
     }
+}
+
+/// Cell key → `c<w>-<v>-<s>.rec`.
+fn record_name((w, v, s): CellKey) -> String {
+    format!("c{w}-{v}-{s}.rec")
 }
 
 /// `c<w>-<v>-<s>.rec` → cell key.
@@ -265,233 +278,74 @@ fn parse_record_name(name: &str) -> Option<CellKey> {
     Some((w, v, s))
 }
 
-// One short-lived value per record file during load; boxing the
-// (Copy, ~1 KiB) RunResult would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum Record {
-    Ok(RunResult),
-    Failed,
-}
-
-fn parse_record(payload: &str) -> Option<Record> {
-    let mut kv = BTreeMap::new();
-    for line in payload.lines() {
-        let (k, v) = line.split_once('=')?;
-        kv.insert(k, v);
-    }
-    match kv.get("status").copied() {
-        Some("ok") => deserialize_run(&kv).map(Record::Ok),
-        Some("failed") => Some(Record::Failed),
-        _ => None,
-    }
-}
-
-// --- bit-exact RunResult (de)serialization -------------------------------
-
-fn push_u64(out: &mut String, k: &str, v: u64) {
-    out.push_str(k);
-    out.push('=');
-    out.push_str(&v.to_string());
-    out.push('\n');
-}
-
-fn push_f64(out: &mut String, k: &str, v: f64) {
-    out.push_str(k);
-    out.push('=');
-    out.push_str(&format!("{:016x}", v.to_bits()));
-    out.push('\n');
-}
-
-fn push_list(out: &mut String, k: &str, vs: &[u64]) {
-    out.push_str(k);
-    out.push('=');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push('\n');
-}
-
-fn push_hist(out: &mut String, prefix: &str, h: &Hist) {
-    push_u64(out, &format!("{prefix}.count"), h.count);
-    push_u64(out, &format!("{prefix}.sum"), h.sum);
-    push_list(out, &format!("{prefix}.buckets"), &h.buckets);
-}
-
-/// A canonical, bit-exact text fingerprint of a [`RunResult`]: the journal
-/// record payload, which covers every deterministic field (floats by their
-/// IEEE bits) and excludes host wall-time. Two results fingerprint equal
-/// iff the simulation produced identical numbers — the chaos and
-/// determinism tests compare sweeps through this.
+/// A canonical, bit-exact text fingerprint of a [`RunResult`]: one
+/// `key=value` line per deterministic field (u64s in decimal, floats by
+/// their IEEE bits in hex), excluding host wall-time. Two results
+/// fingerprint equal iff the simulation produced identical numbers — the
+/// chaos and determinism tests compare sweeps through this, and the
+/// benchmark pins hashes of it. Write-only: nothing parses it back.
 pub fn fingerprint(r: &RunResult) -> String {
     let mut out = String::new();
-    serialize_run(&mut out, r);
-    out
-}
-
-fn serialize_run(out: &mut String, r: &RunResult) {
+    let mut line = |k: &str, v: &dyn fmt::Display| {
+        let _ = writeln!(out, "{k}={v}");
+    };
+    let bits = |f: f64| format!("{:016x}", f.to_bits());
+    let list = |vs: &[u64]| {
+        let vs: Vec<String> = vs.iter().map(u64::to_string).collect();
+        vs.join(" ")
+    };
     let s = &r.stats;
-    push_u64(out, "cycles", s.cycles);
-    push_u64(out, "committed_insts", s.committed_insts);
-    push_u64(out, "committed_loads", s.committed_loads);
-    push_u64(out, "committed_stores", s.committed_stores);
-    push_u64(out, "committed_branches", s.committed_branches);
-    push_u64(out, "branch_mispredicts", s.branch_mispredicts);
-    push_u64(out, "mem_order_violations", s.mem_order_violations);
-    push_u64(out, "squashes", s.squashes);
-    push_u64(out, "faults", s.faults);
-    push_u64(out, "wrong_path_executed", s.wrong_path_executed);
-    push_u64(out, "commit_cycles", s.commit_cycles);
-    push_u64(out, "memory_stall_cycles", s.memory_stall_cycles);
-    push_u64(out, "backend_stall_cycles", s.backend_stall_cycles);
-    push_u64(out, "frontend_stall_cycles", s.frontend_stall_cycles);
-    push_u64(out, "dispatch_to_issue_total", s.dispatch_to_issue_total);
-    push_u64(out, "issued_insts", s.issued_insts);
-    push_u64(out, "issue_active_cycles", s.issue_active_cycles);
-    push_u64(out, "deferred_broadcasts", s.deferred_broadcasts);
-    push_u64(out, "broadcasts", s.broadcasts);
-    push_u64(out, "store_bypasses", s.store_bypasses);
+    line("cycles", &s.cycles);
+    line("committed_insts", &s.committed_insts);
+    line("committed_loads", &s.committed_loads);
+    line("committed_stores", &s.committed_stores);
+    line("committed_branches", &s.committed_branches);
+    line("branch_mispredicts", &s.branch_mispredicts);
+    line("mem_order_violations", &s.mem_order_violations);
+    line("squashes", &s.squashes);
+    line("faults", &s.faults);
+    line("wrong_path_executed", &s.wrong_path_executed);
+    line("commit_cycles", &s.commit_cycles);
+    line("memory_stall_cycles", &s.memory_stall_cycles);
+    line("backend_stall_cycles", &s.backend_stall_cycles);
+    line("frontend_stall_cycles", &s.frontend_stall_cycles);
+    line("dispatch_to_issue_total", &s.dispatch_to_issue_total);
+    line("issued_insts", &s.issued_insts);
+    line("issue_active_cycles", &s.issue_active_cycles);
+    line("deferred_broadcasts", &s.deferred_broadcasts);
+    line("broadcasts", &s.broadcasts);
+    line("store_bypasses", &s.store_bypasses);
     for class in CpiClass::all() {
-        push_u64(
-            out,
-            &format!("cpi.{}", class.name()),
-            s.cpi_stack.get(class),
-        );
+        line(&format!("cpi.{}", class.name()), &s.cpi_stack.get(class));
     }
-    push_hist(out, "d2i", &s.d2i_hist);
-    push_hist(out, "defer", &s.defer_hist);
+    for (prefix, h) in [("d2i", &s.d2i_hist), ("defer", &s.defer_hist)] {
+        line(&format!("{prefix}.count"), &h.count);
+        line(&format!("{prefix}.sum"), &h.sum);
+        line(&format!("{prefix}.buckets"), &list(&h.buckets));
+    }
 
     let m = &r.mem_stats;
-    push_u64(out, "mem.l1i.hits", m.l1i.hits);
-    push_u64(out, "mem.l1i.misses", m.l1i.misses);
-    push_u64(out, "mem.l1d.hits", m.l1d.hits);
-    push_u64(out, "mem.l1d.misses", m.l1d.misses);
-    push_u64(out, "mem.l2.hits", m.l2.hits);
-    push_u64(out, "mem.l2.misses", m.l2.misses);
-    push_u64(out, "mem.dram_accesses", m.dram_accesses);
-    push_u64(out, "mem.prefetches", m.prefetches);
+    for (level, c) in [("l1i", m.l1i), ("l1d", m.l1d), ("l2", m.l2)] {
+        line(&format!("mem.{level}.hits"), &c.hits);
+        line(&format!("mem.{level}.misses"), &c.misses);
+    }
+    line("mem.dram_accesses", &m.dram_accesses);
+    line("mem.prefetches", &m.prefetches);
     if let Some(mlp) = m.mlp {
-        push_f64(out, "mem.mlp", mlp);
+        line("mem.mlp", &bits(mlp));
     }
 
-    push_list(out, "regs", &r.regs);
-    push_u64(out, "halted", u64::from(r.halted));
-    // host_ns is wall-clock instrumentation, never part of determinism
-    // comparisons; a journaled record stores 0.
+    line("regs", &list(&r.regs));
+    line("halted", &u64::from(r.halted));
     if let Some(sp) = &r.sampled {
-        push_f64(out, "sampled.cpi.mean", sp.cpi.mean);
-        push_f64(out, "sampled.cpi.ci95", sp.cpi.ci95);
-        push_u64(out, "sampled.cpi.n", sp.cpi.n as u64);
-        push_u64(out, "sampled.detailed_insts", sp.detailed_insts);
-        push_u64(out, "sampled.fast_forwarded_insts", sp.fast_forwarded_insts);
-        push_u64(out, "sampled.windows", sp.windows as u64);
+        line("sampled.cpi.mean", &bits(sp.cpi.mean));
+        line("sampled.cpi.ci95", &bits(sp.cpi.ci95));
+        line("sampled.cpi.n", &sp.cpi.n);
+        line("sampled.detailed_insts", &sp.detailed_insts);
+        line("sampled.fast_forwarded_insts", &sp.fast_forwarded_insts);
+        line("sampled.windows", &sp.windows);
     }
-}
-
-fn get_u64(kv: &BTreeMap<&str, &str>, k: &str) -> Option<u64> {
-    kv.get(k)?.parse().ok()
-}
-
-fn get_f64_bits(kv: &BTreeMap<&str, &str>, k: &str) -> Option<f64> {
-    Some(f64::from_bits(u64::from_str_radix(kv.get(k)?, 16).ok()?))
-}
-
-fn get_list<const N: usize>(kv: &BTreeMap<&str, &str>, k: &str) -> Option<[u64; N]> {
-    let mut out = [0u64; N];
-    let mut it = kv.get(k)?.split(' ');
-    for slot in &mut out {
-        *slot = it.next()?.parse().ok()?;
-    }
-    it.next().is_none().then_some(out)
-}
-
-fn get_hist(kv: &BTreeMap<&str, &str>, prefix: &str) -> Option<Hist> {
-    Some(Hist {
-        count: get_u64(kv, &format!("{prefix}.count"))?,
-        sum: get_u64(kv, &format!("{prefix}.sum"))?,
-        buckets: get_list(kv, &format!("{prefix}.buckets"))?,
-    })
-}
-
-fn get_cache(kv: &BTreeMap<&str, &str>, prefix: &str) -> Option<CacheStats> {
-    Some(CacheStats {
-        hits: get_u64(kv, &format!("{prefix}.hits"))?,
-        misses: get_u64(kv, &format!("{prefix}.misses"))?,
-    })
-}
-
-fn deserialize_run(kv: &BTreeMap<&str, &str>) -> Option<RunResult> {
-    let mut stats = SimStats::new();
-    stats.cycles = get_u64(kv, "cycles")?;
-    stats.committed_insts = get_u64(kv, "committed_insts")?;
-    stats.committed_loads = get_u64(kv, "committed_loads")?;
-    stats.committed_stores = get_u64(kv, "committed_stores")?;
-    stats.committed_branches = get_u64(kv, "committed_branches")?;
-    stats.branch_mispredicts = get_u64(kv, "branch_mispredicts")?;
-    stats.mem_order_violations = get_u64(kv, "mem_order_violations")?;
-    stats.squashes = get_u64(kv, "squashes")?;
-    stats.faults = get_u64(kv, "faults")?;
-    stats.wrong_path_executed = get_u64(kv, "wrong_path_executed")?;
-    stats.commit_cycles = get_u64(kv, "commit_cycles")?;
-    stats.memory_stall_cycles = get_u64(kv, "memory_stall_cycles")?;
-    stats.backend_stall_cycles = get_u64(kv, "backend_stall_cycles")?;
-    stats.frontend_stall_cycles = get_u64(kv, "frontend_stall_cycles")?;
-    stats.dispatch_to_issue_total = get_u64(kv, "dispatch_to_issue_total")?;
-    stats.issued_insts = get_u64(kv, "issued_insts")?;
-    stats.issue_active_cycles = get_u64(kv, "issue_active_cycles")?;
-    stats.deferred_broadcasts = get_u64(kv, "deferred_broadcasts")?;
-    stats.broadcasts = get_u64(kv, "broadcasts")?;
-    stats.store_bypasses = get_u64(kv, "store_bypasses")?;
-    for class in CpiClass::all() {
-        stats
-            .cpi_stack
-            .set(class, get_u64(kv, &format!("cpi.{}", class.name()))?);
-    }
-    stats.d2i_hist = get_hist(kv, "d2i")?;
-    stats.defer_hist = get_hist(kv, "defer")?;
-
-    let mem_stats = MemStats {
-        l1i: get_cache(kv, "mem.l1i")?,
-        l1d: get_cache(kv, "mem.l1d")?,
-        l2: get_cache(kv, "mem.l2")?,
-        dram_accesses: get_u64(kv, "mem.dram_accesses")?,
-        prefetches: get_u64(kv, "mem.prefetches")?,
-        mlp: if kv.contains_key("mem.mlp") {
-            Some(get_f64_bits(kv, "mem.mlp")?)
-        } else {
-            None
-        },
-    };
-
-    let sampled = if kv.contains_key("sampled.cpi.mean") {
-        Some(SampledInfo {
-            cpi: Sample {
-                mean: get_f64_bits(kv, "sampled.cpi.mean")?,
-                ci95: get_f64_bits(kv, "sampled.cpi.ci95")?,
-                n: get_u64(kv, "sampled.cpi.n")? as usize,
-            },
-            detailed_insts: get_u64(kv, "sampled.detailed_insts")?,
-            fast_forwarded_insts: get_u64(kv, "sampled.fast_forwarded_insts")?,
-            windows: get_u64(kv, "sampled.windows")? as usize,
-            // Wall-clock instrumentation, like host_ns: never serialized,
-            // never part of the fingerprint.
-            ff_wall_ns: 0,
-            detail_wall_ns: 0,
-        })
-    } else {
-        None
-    };
-
-    Some(RunResult {
-        stats,
-        mem_stats,
-        regs: get_list(kv, "regs")?,
-        halted: get_u64(kv, "halted")? != 0,
-        host_ns: 0,
-        sampled,
-    })
+    out
 }
 
 #[cfg(test)]
@@ -511,50 +365,16 @@ mod tests {
     }
 
     fn assert_bit_identical(a: &RunResult, b: &RunResult) {
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.mem_stats, b.mem_stats);
-        assert_eq!(a.regs, b.regs);
-        assert_eq!(a.halted, b.halted);
-        match (a.sampled, b.sampled) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                assert_eq!(x.cpi.mean.to_bits(), y.cpi.mean.to_bits());
-                assert_eq!(x.cpi.ci95.to_bits(), y.cpi.ci95.to_bits());
-                assert_eq!(x.cpi.n, y.cpi.n);
-                assert_eq!(x.detailed_insts, y.detailed_insts);
-                assert_eq!(x.fast_forwarded_insts, y.fast_forwarded_insts);
-                assert_eq!(x.windows, y.windows);
-            }
-            _ => panic!("sampled presence differs"),
-        }
+        assert_eq!(fingerprint(a), fingerprint(b));
     }
 
-    #[test]
-    fn run_result_roundtrips_bit_exactly() {
-        let mut r = sample_result();
-        r.sampled = Some(SampledInfo {
-            cpi: Sample {
-                mean: 1.375,
-                ci95: f64::NAN, // NaN bit patterns must survive too
-                n: 3,
-            },
-            detailed_insts: 123,
-            fast_forwarded_insts: 456,
-            windows: 3,
-            ff_wall_ns: 7,
-            detail_wall_ns: 8,
-        });
-        let mut payload = String::from("status=ok\n");
-        serialize_run(&mut payload, &r);
-        let parsed = match parse_record(&payload) {
-            Some(Record::Ok(p)) => p,
-            _ => panic!("roundtrip parse failed"),
-        };
-        assert_bit_identical(&r, &parsed);
-        assert_eq!(
-            parsed.sampled.unwrap().cpi.ci95.to_bits(),
-            f64::NAN.to_bits()
-        );
+    /// XOR `mask` into the byte at `offset` from the end of `path`: past
+    /// the 32-byte header, inside the record body.
+    fn flip_from_end(path: &Path, offset: usize, mask: u8) {
+        let mut bytes = fs::read(path).unwrap();
+        let i = bytes.len() - offset;
+        bytes[i] ^= mask;
+        fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -592,6 +412,51 @@ mod tests {
     }
 
     #[test]
+    fn high_bit_flip_in_meta_is_a_config_mismatch() {
+        let dir = std::env::temp_dir().join("nda-journal-test-meta-flip");
+        let _ = fs::remove_dir_all(&dir);
+        Journal::open(&dir, "meta-a").unwrap();
+        flip_from_end(&dir.join(META), 2, 0x80);
+        let err = Journal::open(&dir, "meta-a").unwrap_err();
+        assert!(
+            matches!(err, JournalError::ConfigMismatch { .. }),
+            "want ConfigMismatch, got {err}"
+        );
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        assert!(dir.join(META).exists(), "a corrupt meta is left in place");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_journal_is_refused_not_quarantined() {
+        let dir = std::env::temp_dir().join("nda-journal-test-v1");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // A meta.rec and a cell record exactly as the v1 text format wrote
+        // them.
+        let v1_meta = "nda-journal-v1 5f861de61d3a630a\nmeta-a";
+        fs::write(dir.join(META), v1_meta).unwrap();
+        fs::write(
+            dir.join("c0-0-0.rec"),
+            "nda-journal-v1 d2f5eb90630495a1\nstatus=failed\nkind=panic\nerror=boom\n",
+        )
+        .unwrap();
+        let err = Journal::open(&dir, "meta-a").unwrap_err();
+        assert!(
+            matches!(err, JournalError::ConfigMismatch { .. }),
+            "want ConfigMismatch, got {err}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("nda-journal-v1"), "{msg}");
+        assert!(msg.contains("nda-journal-v2"), "{msg}");
+        assert!(msg.contains("delete the journal"), "{msg}");
+        assert_eq!(fs::read_to_string(dir.join(META)).unwrap(), v1_meta);
+        assert!(dir.join("c0-0-0.rec").exists());
+        assert!(!dir.join("quarantine").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_records_are_quarantined_not_trusted() {
         let dir = std::env::temp_dir().join("nda-journal-test-corrupt");
         let _ = fs::remove_dir_all(&dir);
@@ -599,38 +464,55 @@ mod tests {
         let (j, _) = Journal::open(&dir, "m").unwrap();
         j.record_ok((0, 0, 0), &r).unwrap();
         j.record_ok((0, 1, 0), &r).unwrap();
-        // Truncate one record, bit-flip another.
+        j.record_ok((0, 2, 0), &r).unwrap();
+        j.record_ok((0, 3, 0), &r).unwrap();
+        // Truncate one record, bit-flip another, set the high bit of a
+        // body byte in a third.
         let p0 = dir.join("c0-0-0.rec");
-        let text = fs::read_to_string(&p0).unwrap();
-        fs::write(&p0, &text[..text.len() / 2]).unwrap();
+        let bytes = fs::read(&p0).unwrap();
+        fs::write(&p0, &bytes[..bytes.len() / 2]).unwrap();
         let p1 = dir.join("c0-1-0.rec");
         let mut bytes = fs::read(&p1).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&p1, &bytes).unwrap();
+        let p2 = dir.join("c0-2-0.rec");
+        flip_from_end(&p2, 9, 0x80);
         let (_, state) = Journal::open(&dir, "m").unwrap();
-        assert!(state.ok.is_empty());
-        assert_eq!(state.quarantined.len(), 2);
+        assert_eq!(state.ok.len(), 1);
+        assert!(state.ok.contains_key(&(0, 3, 0)));
+        assert_eq!(state.quarantined.len(), 3);
         for q in &state.quarantined {
             assert!(q.exists(), "quarantined file kept: {}", q.display());
         }
         // The records are gone from the journal proper.
-        assert!(!p0.exists() && !p1.exists());
+        assert!(!p0.exists() && !p1.exists() && !p2.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_for_another_cell_is_ignored() {
+        let dir = std::env::temp_dir().join("nda-journal-test-renamed");
+        let _ = fs::remove_dir_all(&dir);
+        let (j, _) = Journal::open(&dir, "m").unwrap();
+        j.record_ok((0, 0, 0), &sample_result()).unwrap();
+        fs::rename(dir.join("c0-0-0.rec"), dir.join("c0-0-1.rec")).unwrap();
+        let (_, state) = Journal::open(&dir, "m").unwrap();
+        assert!(state.ok.is_empty(), "a record counts only for its own cell");
+        assert!(state.quarantined.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn record_names_roundtrip() {
         assert_eq!(parse_record_name("c3-10-2.rec"), Some((3, 10, 2)));
+        assert_eq!(
+            parse_record_name(&record_name((3, 10, 2))),
+            Some((3, 10, 2))
+        );
         assert_eq!(parse_record_name("meta.rec"), None);
         assert_eq!(parse_record_name("c3-10-2.tmp"), None);
+        assert_eq!(parse_record_name(".tmp.7.0.c3-10-2.rec"), None);
         assert_eq!(parse_record_name("quarantine"), None);
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Known FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

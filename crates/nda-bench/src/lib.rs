@@ -14,8 +14,10 @@
 //! * [`mod@fault`] — job isolation: the [`fault::JobError`] taxonomy,
 //!   bounded retries with deterministic backoff, and seeded chaos
 //!   injection ([`fault::Chaos`]).
-//! * [`mod@journal`] — crash-safe resume: checksummed per-cell records
-//!   written atomically, corrupt records quarantined on load.
+//! * [`mod@journal`] — crash-safe resume: one record per cell, stored as a
+//!   blob of `nda-core`'s shared `BlobStore` (checksum, atomic write,
+//!   quarantine) holding the result store's binary `RunResult` encoding;
+//!   corrupt records are quarantined on load.
 //!
 //! Environment knobs (all optional):
 //! * `NDA_SAMPLES` — seeded samples per (workload, variant) cell

@@ -22,12 +22,12 @@
 //! <CheckpointSet encoding>            fixed little-endian layout
 //! ```
 //!
-//! The checksum is FNV-1a over everything after the header line. The key
-//! material is stored *and verified byte-for-byte* on load, so a hash
-//! collision degrades to a cache miss instead of resurrecting the wrong
-//! workload's checkpoints. Geometry mismatches cannot hit either — the
-//! geometry is part of the key — and as defence in depth every `from_state`
-//! reconstruction validates shapes against the live configuration.
+//! The frame is the shared [`BlobStore`]'s, so the key material is
+//! verified byte-for-byte on load and a hash collision degrades to a
+//! cache miss instead of resurrecting the wrong workload's checkpoints.
+//! Geometry mismatches cannot hit either — the geometry is part of the
+//! key — and as defence in depth every `from_state` reconstruction
+//! validates shapes against the live configuration.
 //!
 //! Consecutive checkpoints share almost all of their memory image (the
 //! interpreter's pages are `Arc` copy-on-write; an interval dirties a
@@ -40,14 +40,12 @@
 //!
 //! ## Durability
 //!
-//! Writes are atomic: encode to `.tmp.<pid>.<key>`, `sync_all`, then
-//! `rename` over the final name. Concurrent writers of the same key race
-//! benignly (both produce identical bytes; the last rename wins), and
-//! readers never observe a torn file. A corrupt or truncated entry —
-//! failed checksum, bad header, short body, shape mismatch — is moved into
-//! a `quarantine/` subdirectory and treated as a miss, so one bad file
-//! costs one regeneration, never a crash or a wrong result. Pinned by
-//! `crates/nda-core/tests/ckpt_store.rs`.
+//! Atomic writes and quarantine also come from [`BlobStore`]: a corrupt
+//! or truncated entry — failed checksum, bad header, short body, shape
+//! mismatch — is moved into `quarantine/` and treated as a miss, so one
+//! bad file costs one regeneration, never a crash or a wrong result.
+//! Pinned by `crates/nda-core/tests/ckpt_store.rs`; the entry bytes by
+//! `crates/nda-core/tests/store_format.rs`.
 //!
 //! ## Size cap
 //!
@@ -60,11 +58,10 @@
 //! — a future run regenerates them — and never touches `quarantine/`.
 
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::codec::{fnv1a64, gc_dir, Dec, Enc, GcStats};
+use crate::codec::{fnv1a64, BlobStore, Dec, Enc, GcStats};
 use crate::config::SimConfig;
 use crate::run::SimError;
 use crate::sampled::{collect_checkpoints, Checkpoint, CheckpointSet, SampledParams};
@@ -349,7 +346,7 @@ fn dec_ras(d: &mut Dec) -> Option<RasState> {
     })
 }
 
-fn encode_set(set: &CheckpointSet) -> Vec<u8> {
+fn encode_set(e: &mut Enc, set: &CheckpointSet) {
     // Snapshot every interpreter once, then intern all pages into the
     // pool before emitting anything — the pool is written first.
     let states: Vec<InterpState> = set
@@ -369,28 +366,26 @@ fn encode_set(set: &CheckpointSet) -> Vec<u8> {
         })
         .collect();
 
-    let mut e = Enc::default();
     e.usize(pool.pages.len());
     for page in &pool.pages {
         e.buf.extend_from_slice(&page[..]);
     }
     e.usize(set.checkpoints.len());
     for (k, ckpt) in set.checkpoints.iter().enumerate() {
-        enc_interp(&mut e, &states[k], &refs[k]);
-        enc_hier(&mut e, &ckpt.hier.dump_state());
-        enc_dir(&mut e, &ckpt.dir.dump_state());
-        enc_btb(&mut e, &ckpt.btb.dump_state());
-        enc_ras(&mut e, &ckpt.ras.dump_state());
+        enc_interp(e, &states[k], &refs[k]);
+        enc_hier(e, &ckpt.hier.dump_state());
+        enc_dir(e, &ckpt.dir.dump_state());
+        enc_btb(e, &ckpt.btb.dump_state());
+        enc_ras(e, &ckpt.ras.dump_state());
         e.u64(ckpt.ff_insts);
     }
     let last = states.len() - 1;
-    enc_interp(&mut e, &states[last], &refs[last]);
+    enc_interp(e, &states[last], &refs[last]);
     e.u64(set.total_insts);
-    e.buf
 }
 
-/// Decode an entry body. `None` on any truncation, shape mismatch against
-/// the live configuration, or trailing garbage — all quarantine cases.
+/// Decode an entry body. `None` on any truncation or shape mismatch
+/// against the live configuration — quarantine cases for the store.
 fn decode_set(d: &mut Dec, cfg: &SimConfig, program: &Program) -> Option<CheckpointSet> {
     let n_pool = d.usize()?;
     let mut pool: Vec<Arc<[u8; PAGE_SIZE]>> = Vec::with_capacity(n_pool.min(1 << 20));
@@ -418,9 +413,6 @@ fn decode_set(d: &mut Dec, cfg: &SimConfig, program: &Program) -> Option<Checkpo
     }
     let final_interp = Interp::from_state(program, dec_interp(d, &pool)?);
     let total_insts = d.u64()?;
-    if !d.done() {
-        return None;
-    }
     Some(CheckpointSet {
         checkpoints,
         final_interp,
@@ -505,8 +497,7 @@ impl StoreKey {
 /// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    dir: PathBuf,
-    max_bytes: Option<u64>,
+    blobs: BlobStore,
 }
 
 impl CheckpointStore {
@@ -516,25 +507,23 @@ impl CheckpointStore {
     ///
     /// Propagates the filesystem error if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<CheckpointStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
         Ok(CheckpointStore {
-            dir,
-            max_bytes: None,
+            blobs: BlobStore::open(dir, MAGIC, "ckpt")?,
         })
     }
 
     /// Set (or clear) the size cap. A capped store garbage-collects after
     /// every save; see [module docs](self).
     #[must_use]
-    pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> CheckpointStore {
-        self.max_bytes = max_bytes;
-        self
+    pub fn with_max_bytes(self, max_bytes: Option<u64>) -> CheckpointStore {
+        CheckpointStore {
+            blobs: self.blobs.with_max_bytes(max_bytes),
+        }
     }
 
     /// The configured size cap, if any.
     pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
+        self.blobs.max_bytes()
     }
 
     /// Evict oldest-mtime entries until the store's `*.ckpt` bytes are at
@@ -546,31 +535,17 @@ impl CheckpointStore {
     /// Propagates a directory-scan failure; individual file races are
     /// skipped.
     pub fn gc(&self, max_bytes: u64) -> std::io::Result<GcStats> {
-        gc_dir(&self.dir, "ckpt", max_bytes)
+        self.blobs.gc(max_bytes)
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.blobs.dir()
     }
 
     /// Path of the entry for `key` (whether or not it exists).
     pub fn entry_path(&self, key: &StoreKey) -> PathBuf {
-        self.dir.join(key.filename())
-    }
-
-    /// Move a bad entry into `quarantine/` (best-effort: if even that
-    /// fails, fall back to removing it so it cannot poison every
-    /// subsequent run).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join("quarantine");
-        let moved = fs::create_dir_all(&qdir).is_ok()
-            && path
-                .file_name()
-                .is_some_and(|name| fs::rename(path, qdir.join(name)).is_ok());
-        if !moved {
-            let _ = fs::remove_file(path);
-        }
+        self.blobs.path(&key.filename())
     }
 
     /// Load the entry for `key`, reconstructing against `cfg`/`program`
@@ -583,47 +558,9 @@ impl CheckpointStore {
         cfg: &SimConfig,
         program: &Program,
     ) -> Option<CheckpointSet> {
-        let path = self.entry_path(key);
-        let data = match fs::read(&path) {
-            Ok(data) => data,
-            Err(_) => return None, // clean miss (or unreadable — nothing to quarantine)
-        };
-        match Self::parse(&data, key, cfg, program) {
-            Ok(set) => set,
-            Err(()) => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// `Ok(Some)` = valid entry for this key; `Ok(None)` = valid entry for
-    /// a *different* key (hash collision — a miss, but not corruption);
-    /// `Err(())` = corrupt, quarantine.
-    fn parse(
-        data: &[u8],
-        key: &StoreKey,
-        cfg: &SimConfig,
-        program: &Program,
-    ) -> Result<Option<CheckpointSet>, ()> {
-        // Header line: "nda-ckpt-v1 <checksum:016x>\n".
-        let nl = data.iter().position(|&b| b == b'\n').ok_or(())?;
-        let header = std::str::from_utf8(&data[..nl]).map_err(|_| ())?;
-        let checksum_hex = header.strip_prefix(MAGIC).ok_or(())?.trim();
-        let checksum = u64::from_str_radix(checksum_hex, 16).map_err(|_| ())?;
-        let body = &data[nl + 1..];
-        if fnv1a64(body) != checksum {
-            return Err(());
-        }
-        let mut d = Dec::new(body);
-        let material = d.bytes().ok_or(())?;
-        if material != key.material.as_slice() {
-            // Checksummed OK but keyed differently: an FNV collision, not
-            // corruption. Leave the other key's entry alone.
-            return Ok(None);
-        }
-        let set = decode_set(&mut d, cfg, program).ok_or(())?;
-        Ok(Some(set))
+        self.blobs.load(&key.filename(), &key.material, |d| {
+            decode_set(d, cfg, program)
+        })
     }
 
     /// Write the entry for `key` atomically (tmp + fsync + rename).
@@ -633,34 +570,8 @@ impl CheckpointStore {
     /// Propagates filesystem errors; callers on the hot path treat a
     /// failed save as "cache disabled", never as a simulation failure.
     pub fn save(&self, key: &StoreKey, set: &CheckpointSet) -> std::io::Result<PathBuf> {
-        let mut e = Enc::default();
-        e.bytes(&key.material);
-        e.buf.extend_from_slice(&encode_set(set));
-        let body = e.buf;
-        let mut data = format!("{MAGIC} {:016x}\n", fnv1a64(&body)).into_bytes();
-        data.extend_from_slice(&body);
-
-        let final_path = self.entry_path(key);
-        let tmp = self
-            .dir
-            .join(format!(".tmp.{}.{}", std::process::id(), key.filename()));
-        fs::write(&tmp, &data)?;
-        let f = fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        match fs::rename(&tmp, &final_path) {
-            Ok(()) => {
-                if let Some(cap) = self.max_bytes {
-                    // Best-effort: a failed GC pass never fails the save.
-                    let _ = self.gc(cap);
-                }
-                Ok(final_path)
-            }
-            Err(err) => {
-                let _ = fs::remove_file(&tmp);
-                Err(err)
-            }
-        }
+        self.blobs
+            .put(&key.filename(), &key.material, |e| encode_set(e, set))
     }
 }
 
@@ -728,16 +639,18 @@ mod tests {
         let params = SampledParams::new(100, 20, 20);
         let set = collect_checkpoints(&cfg, &p, params, u64::MAX).unwrap();
         assert!(!set.checkpoints.is_empty());
-        let bytes = encode_set(&set);
-        let mut d = Dec::new(&bytes);
+        let mut e = Enc::default();
+        encode_set(&mut e, &set);
+        let mut d = Dec::new(&e.buf);
         let back = decode_set(&mut d, &cfg, &p).expect("decodes");
+        assert!(d.done());
         assert_eq!(set, back);
     }
 
     #[test]
     fn store_round_trip_hits_warm() {
         let dir = std::env::temp_dir().join(format!("nda-ckpt-unit-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).unwrap();
         let p = store_program();
         let cfg = SimConfig::ooo();
@@ -750,7 +663,7 @@ mod tests {
             collect_checkpoints_cached(Some(&store), &cfg, &p, params, u64::MAX).unwrap();
         assert!(hit);
         assert_eq!(cold, warm);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

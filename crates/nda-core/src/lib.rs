@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ckpt_store;
-mod codec;
+pub mod codec;
 pub mod config;
 pub mod inorder;
 pub mod ooo;

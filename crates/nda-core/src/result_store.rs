@@ -31,15 +31,19 @@
 //! stored and verified byte-for-byte, so an FNV collision degrades to a
 //! clean miss.
 //!
-//! Durability mirrors the checkpoint store: atomic tmp + fsync + rename
-//! writes, corrupt entries quarantined into `quarantine/` and treated as
-//! misses, and an optional size cap ([`ResultStore::with_max_bytes`])
-//! enforced by oldest-mtime eviction after each save.
+//! Framing and durability are the shared [`BlobStore`]'s, as for the
+//! checkpoint store: atomic tmp + fsync + rename writes, corrupt entries
+//! quarantined into `quarantine/` and treated as misses, and an optional
+//! size cap ([`ResultStore::with_max_bytes`]) enforced by oldest-mtime
+//! eviction after each save.
+//!
+//! The codec ([`encode_result`] / [`decode_result`]) is the one binary
+//! `RunResult` encoding in the workspace: the sweep journal in
+//! `nda-bench` stores its records with it too.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{fnv1a64, gc_dir, Dec, Enc, GcStats};
+use crate::codec::{fnv1a64, BlobStore, Dec, Enc, GcStats};
 use crate::run::{RunResult, SampledInfo};
 use nda_mem::{CacheStats, MemStats};
 use nda_stats::{CpiClass, Hist, Sample, SimStats, HIST_BUCKETS};
@@ -85,12 +89,11 @@ fn dec_cache(d: &mut Dec) -> Option<CacheStats> {
     })
 }
 
-/// Encode every deterministic field of `r` into a fixed little-endian
-/// layout (floats by their IEEE-754 bits). Wall-clock instrumentation is
-/// not encoded; see the [module docs](self).
-pub fn encode_result(r: &RunResult) -> Vec<u8> {
+/// Encode every deterministic field of `r` into `e` in a fixed
+/// little-endian layout (floats by their IEEE-754 bits). Wall-clock
+/// instrumentation is not encoded; see the [module docs](self).
+pub fn encode_result(e: &mut Enc, r: &RunResult) {
     let s = &r.stats;
-    let mut e = Enc::default();
     e.u64(s.cycles);
     e.u64(s.committed_insts);
     e.u64(s.committed_loads);
@@ -114,13 +117,13 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
     for class in CpiClass::all() {
         e.u64(s.cpi_stack.get(class));
     }
-    enc_hist(&mut e, &s.d2i_hist);
-    enc_hist(&mut e, &s.defer_hist);
+    enc_hist(e, &s.d2i_hist);
+    enc_hist(e, &s.defer_hist);
 
     let m = &r.mem_stats;
-    enc_cache(&mut e, &m.l1i);
-    enc_cache(&mut e, &m.l1d);
-    enc_cache(&mut e, &m.l2);
+    enc_cache(e, &m.l1i);
+    enc_cache(e, &m.l1d);
+    enc_cache(e, &m.l2);
     e.u64(m.dram_accesses);
     e.u64(m.prefetches);
     e.bool(m.mlp.is_some());
@@ -141,18 +144,11 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
         e.u64(sp.fast_forwarded_insts);
         e.usize(sp.windows);
     }
-    e.buf
 }
 
-/// Decode one [`encode_result`] body. `None` on truncation, a malformed
-/// tag, or trailing garbage — all quarantine cases for the store.
-pub fn decode_result(bytes: &[u8]) -> Option<RunResult> {
-    let mut d = Dec::new(bytes);
-    let r = dec_result(&mut d)?;
-    d.done().then_some(r)
-}
-
-fn dec_result(d: &mut Dec) -> Option<RunResult> {
+/// Decode one [`encode_result`] encoding from `d`. `None` on truncation
+/// or a malformed tag — quarantine cases for the store.
+pub fn decode_result(d: &mut Dec) -> Option<RunResult> {
     let mut stats = SimStats::new();
     stats.cycles = d.u64()?;
     stats.committed_insts = d.u64()?;
@@ -281,8 +277,7 @@ impl ResultKey {
 /// A directory of cached [`RunResult`]s. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ResultStore {
-    dir: PathBuf,
-    max_bytes: Option<u64>,
+    blobs: BlobStore,
 }
 
 impl ResultStore {
@@ -292,30 +287,28 @@ impl ResultStore {
     ///
     /// Propagates the filesystem error if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
         Ok(ResultStore {
-            dir,
-            max_bytes: None,
+            blobs: BlobStore::open(dir, MAGIC, "res")?,
         })
     }
 
     /// Set (or clear) the size cap. A capped store garbage-collects after
     /// every save, evicting oldest-mtime entries.
     #[must_use]
-    pub fn with_max_bytes(mut self, max_bytes: Option<u64>) -> ResultStore {
-        self.max_bytes = max_bytes;
-        self
+    pub fn with_max_bytes(self, max_bytes: Option<u64>) -> ResultStore {
+        ResultStore {
+            blobs: self.blobs.with_max_bytes(max_bytes),
+        }
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.blobs.dir()
     }
 
     /// Path of the entry for `key` (whether or not it exists).
     pub fn entry_path(&self, key: &ResultKey) -> PathBuf {
-        self.dir.join(key.filename())
+        self.blobs.path(&key.filename())
     }
 
     /// Evict oldest-mtime entries until the store's `*.res` bytes are at
@@ -326,62 +319,14 @@ impl ResultStore {
     /// Propagates a directory-scan failure; individual file races are
     /// skipped.
     pub fn gc(&self, max_bytes: u64) -> std::io::Result<GcStats> {
-        gc_dir(&self.dir, "res", max_bytes)
-    }
-
-    /// Move a bad entry into `quarantine/` (best-effort: if even that
-    /// fails, fall back to removing it so it cannot poison every
-    /// subsequent run).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join("quarantine");
-        let moved = fs::create_dir_all(&qdir).is_ok()
-            && path
-                .file_name()
-                .is_some_and(|name| fs::rename(path, qdir.join(name)).is_ok());
-        if !moved {
-            let _ = fs::remove_file(path);
-        }
+        self.blobs.gc(max_bytes)
     }
 
     /// Load the entry for `key`. `None` is a clean miss; corrupt entries
     /// are quarantined and also report a miss.
     pub fn load(&self, key: &ResultKey) -> Option<RunResult> {
-        let path = self.entry_path(key);
-        let data = match fs::read(&path) {
-            Ok(data) => data,
-            Err(_) => return None,
-        };
-        match Self::parse(&data, key) {
-            Ok(r) => r,
-            Err(()) => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// `Ok(Some)` = valid entry for this key; `Ok(None)` = valid entry for
-    /// a *different* key (hash collision — a miss, but not corruption);
-    /// `Err(())` = corrupt, quarantine.
-    fn parse(data: &[u8], key: &ResultKey) -> Result<Option<RunResult>, ()> {
-        let nl = data.iter().position(|&b| b == b'\n').ok_or(())?;
-        let header = std::str::from_utf8(&data[..nl]).map_err(|_| ())?;
-        let checksum_hex = header.strip_prefix(MAGIC).ok_or(())?.trim();
-        let checksum = u64::from_str_radix(checksum_hex, 16).map_err(|_| ())?;
-        let body = &data[nl + 1..];
-        if fnv1a64(body) != checksum {
-            return Err(());
-        }
-        let mut d = Dec::new(body);
-        let material = d.bytes().ok_or(())?;
-        if material != key.material.as_slice() {
-            return Ok(None);
-        }
-        let r = dec_result(&mut d).ok_or(())?;
-        if !d.done() {
-            return Err(());
-        }
-        Ok(Some(r))
+        self.blobs
+            .load(&key.filename(), &key.material, decode_result)
     }
 
     /// Write the entry for `key` atomically (tmp + fsync + rename). The
@@ -393,33 +338,8 @@ impl ResultStore {
     /// Propagates filesystem errors; callers on the hot path treat a
     /// failed save as "cache disabled", never as a job failure.
     pub fn save(&self, key: &ResultKey, r: &RunResult) -> std::io::Result<PathBuf> {
-        let mut e = Enc::default();
-        e.bytes(&key.material);
-        e.buf.extend_from_slice(&encode_result(r));
-        let body = e.buf;
-        let mut data = format!("{MAGIC} {:016x}\n", fnv1a64(&body)).into_bytes();
-        data.extend_from_slice(&body);
-
-        let final_path = self.entry_path(key);
-        let tmp = self
-            .dir
-            .join(format!(".tmp.{}.{}", std::process::id(), key.filename()));
-        fs::write(&tmp, &data)?;
-        let f = fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        match fs::rename(&tmp, &final_path) {
-            Ok(()) => {
-                if let Some(cap) = self.max_bytes {
-                    let _ = self.gc(cap);
-                }
-                Ok(final_path)
-            }
-            Err(err) => {
-                let _ = fs::remove_file(&tmp);
-                Err(err)
-            }
-        }
+        self.blobs
+            .put(&key.filename(), &key.material, |e| encode_result(e, r))
     }
 }
 
@@ -429,6 +349,14 @@ mod tests {
     use crate::config::Variant;
     use crate::run::run_variant;
     use nda_isa::{Asm, Reg};
+    use std::fs;
+
+    fn round_trip(r: &RunResult) -> Option<RunResult> {
+        let mut e = Enc::default();
+        encode_result(&mut e, r);
+        let mut d = Dec::new(&e.buf);
+        decode_result(&mut d).filter(|_| d.done())
+    }
 
     fn result() -> RunResult {
         let mut asm = Asm::new();
@@ -449,7 +377,7 @@ mod tests {
     #[test]
     fn codec_round_trips_bit_exactly() {
         let r = result();
-        let back = decode_result(&encode_result(&r)).expect("decodes");
+        let back = round_trip(&r).expect("decodes");
         assert_eq!(sanitize_result(r), back);
     }
 
@@ -469,8 +397,16 @@ mod tests {
             ff_wall_ns: 0,
             detail_wall_ns: 0,
         });
-        let back = decode_result(&encode_result(&r)).expect("decodes");
+        let back = round_trip(&r).expect("decodes");
         assert_eq!(r, back);
+
+        // NaN never compares equal, so its bit pattern is checked by bits.
+        let sp = r.sampled.as_mut().unwrap();
+        sp.cpi.ci95 = f64::NAN;
+        let back = round_trip(&r).expect("decodes");
+        let ci95 = back.sampled.unwrap().cpi.ci95;
+        assert_eq!(ci95.to_bits(), f64::NAN.to_bits());
+        assert_eq!(back.stats, r.stats);
     }
 
     #[test]

@@ -70,18 +70,9 @@ fn fixed_result() -> RunResult {
     RunResult {
         stats,
         mem_stats: MemStats {
-            l1i: CacheStats {
-                hits: 1,
-                misses: 2,
-            },
-            l1d: CacheStats {
-                hits: 3,
-                misses: 4,
-            },
-            l2: CacheStats {
-                hits: 5,
-                misses: 6,
-            },
+            l1i: CacheStats { hits: 1, misses: 2 },
+            l1d: CacheStats { hits: 3, misses: 4 },
+            l2: CacheStats { hits: 5, misses: 6 },
             dram_accesses: 77,
             prefetches: 8,
             mlp: Some(1.75),

@@ -245,12 +245,19 @@ fn corrupted_records_are_quarantined_and_rerun_to_clean_results() {
     let (j, state) = Journal::open(&dir, &meta).unwrap();
     sweep_journaled(wl, &vs, cfg(), Some((&j, &state)));
 
-    // Torn write on one record, bit rot on another.
+    // Torn write on one record, bit rot on another, and a high-bit flip
+    // in a body byte of a third (not valid UTF-8, which a text reader
+    // would fail on instead of quarantining).
     corrupt_truncate(&dir.join("c0-0-0.rec"), 10).unwrap();
     corrupt_bitflip(&dir.join("c1-2-1.rec"), 99).unwrap();
+    let high = dir.join("c1-0-0.rec");
+    let mut bytes = std::fs::read(&high).unwrap();
+    let body_byte = bytes.len() - 9;
+    bytes[body_byte] ^= 0x80;
+    std::fs::write(&high, &bytes).unwrap();
 
     let (j, state) = Journal::open(&dir, &meta).unwrap();
-    assert_eq!(state.quarantined.len(), 2, "{:?}", state.quarantined);
+    assert_eq!(state.quarantined.len(), 3, "{:?}", state.quarantined);
     for q in &state.quarantined {
         assert!(
             q.exists(),
@@ -260,6 +267,7 @@ fn corrupted_records_are_quarantined_and_rerun_to_clean_results() {
     }
     assert!(!state.ok.contains_key(&(0, 0, 0)));
     assert!(!state.ok.contains_key(&(1, 2, 1)));
+    assert!(!state.ok.contains_key(&(1, 0, 0)));
 
     let resumed = sweep_journaled(wl, &vs, cfg(), Some((&j, &state)));
     assert!(resumed.all_ok());
