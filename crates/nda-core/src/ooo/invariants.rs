@@ -15,9 +15,14 @@
 //! * **IQ consistency** — the issue queue holds exactly the dispatched-
 //!   but-unissued, not-yet-complete entries.
 //! * **NDA safety** — a broadcast destination implies the producer
-//!   completed, was safe under the active policy, and its register is
-//!   visible; and visibility always implies readiness (no consumer can
-//!   observe an unwritten value — the paper's central guarantee).
+//!   completed, is safe under the active policy, and its register is
+//!   visible; visibility always implies readiness (no consumer can
+//!   observe an unwritten value — the paper's central guarantee); and the
+//!   broadcast queue is exactly the ascending set of completed entries
+//!   with a destination that have not broadcast.
+//! * **Taint gate** — only in-flight destinations carry a youngest root of
+//!   taint, a load roots its own, STT's walk is never cleaner than the
+//!   flash rule, and no transmitter issued on a tainted transmit operand.
 //!
 //! Violations are reported as structured [`InvariantViolation`] values
 //! (surfaced as [`SimError::InvariantViolation`](crate::SimError)), never
@@ -51,8 +56,9 @@ pub enum InvariantKind {
     /// (wrong-path instruction retired, or a committed value is wrong).
     CommitDivergence,
     /// The STT/ShadowBinding taint discipline was violated: a transmitting
-    /// micro-op issued while its transmit operand was tainted, taint
-    /// survived an empty ROB, or taint state exists with no transmit gate.
+    /// micro-op issued while its transmit operand was tainted, or the taint
+    /// bookkeeping outlived its value or disagrees with the rename-time
+    /// roots.
     TaintGate,
 }
 
@@ -257,47 +263,24 @@ fn check_iq_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
 
 /// The paper's central guarantee: a value becomes visible only through a
 /// broadcast of a completed, policy-safe producer — and visibility implies
-/// readiness (never observe an unwritten register).
+/// readiness (never observe an unwritten register). Safety is monotone for
+/// an in-flight entry, so one broadcast earlier is still safe now.
 fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
     for e in core.rob.iter() {
         let Some(prd) = e.prd else { continue };
-        if e.broadcasted {
-            if !e.completed {
-                return Some((
-                    InvariantKind::NdaSafety,
-                    format!(
-                        "seq {} pc {} `{}` broadcast before completing",
-                        e.seq, e.pc, e.inst
-                    ),
-                ));
-            }
-            if !e.safe {
-                return Some((
-                    InvariantKind::NdaSafety,
-                    format!(
-                        "seq {} pc {} `{}` broadcast while unsafe under the active policy",
-                        e.seq, e.pc, e.inst
-                    ),
-                ));
-            }
-            if !core.prf.is_visible(prd) {
-                return Some((
-                    InvariantKind::NdaSafety,
-                    format!(
-                        "seq {} pc {} `{}` marked broadcast but p{prd} is not visible",
-                        e.seq, e.pc, e.inst
-                    ),
-                ));
-            }
-        } else if core.prf.is_visible(prd) {
-            return Some((
-                InvariantKind::NdaSafety,
-                format!(
-                    "p{prd} (seq {} pc {} `{}`) visible without a broadcast — \
-                     the NDA gap is breached",
-                    e.seq, e.pc, e.inst
-                ),
-            ));
+        let visible = core.prf.is_visible(prd);
+        let broken = if !e.broadcasted {
+            visible.then_some("is visible without a broadcast: the NDA gap is breached")
+        } else if !e.completed {
+            Some("broadcast before completing")
+        } else if !core.is_safe(e) {
+            Some("broadcast while unsafe under the active policy")
+        } else {
+            (!visible).then_some("is marked broadcast but not visible")
+        };
+        if let Some(what) = broken {
+            let at = format!("seq {} pc {} `{}` (p{prd})", e.seq, e.pc, e.inst);
+            return Some((InvariantKind::NdaSafety, format!("{at} {what}")));
         }
     }
     for p in 0..core.prf.len() as super::rename::PReg {
@@ -308,63 +291,69 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
             ));
         }
     }
-    None
+    let pending = core
+        .rob
+        .iter()
+        .filter(|e| e.completed && !e.broadcasted && e.prd.is_some());
+    let pending: Vec<u64> = pending.map(|e| e.seq).collect();
+    (core.bq != pending).then(|| {
+        let d = format!(
+            "broadcast queue {:?} but unbroadcast results {pending:?}",
+            core.bq
+        );
+        (InvariantKind::NdaSafety, d)
+    })
 }
 
 /// The STT/ShadowBinding guarantee: transmitting micro-ops never issue on
 /// tainted transmit operands (taint is monotone non-increasing for a live
 /// register, so an issued in-flight transmitter with a *currently* tainted
-/// transmit source can only mean the gate was bypassed); taint drains with
-/// the ROB; and no taint state exists unless a transmit gate is active.
+/// transmit source can only mean the gate was bypassed). Taint is bound at
+/// rename: a register that is not an in-flight destination has no root of
+/// taint and no STT bit (taint drains with the ROB), no root is younger than
+/// its value, a load roots its own, and STT's walk never untaints a value
+/// the flash rule still taints.
 fn check_taint_gate(core: &OooCore) -> Option<(InvariantKind, String)> {
-    let pregs = 0..core.prf.len() as super::rename::PReg;
-    if !matches!(core.cfg.defense, Defense::GateTransmit { .. }) {
-        if let Some(p) = pregs.clone().find(|&p| core.prf.is_tainted(p)) {
-            return Some((
-                InvariantKind::TaintGate,
-                format!("p{p} tainted with no transmit gate active"),
-            ));
-        }
-        if let Some(e) = core.rob.iter().find(|e| e.tainted) {
-            return Some((
-                InvariantKind::TaintGate,
-                format!(
-                    "seq {} pc {} `{}` marked tainted with no transmit gate active",
-                    e.seq, e.pc, e.inst
-                ),
-            ));
-        }
-        return None;
-    }
-    if core.rob.is_empty() {
-        if let Some(p) = pregs.clone().find(|&p| core.prf.is_tainted(p)) {
-            return Some((
-                InvariantKind::TaintGate,
-                format!("p{p} still tainted with an empty rob (untaint failed to drain)"),
-            ));
-        }
-        return None;
-    }
+    let fail = |e: &super::rob::RobEntry, what: String| {
+        let at = format!("seq {} pc {} `{}`", e.seq, e.pc, e.inst);
+        Some((InvariantKind::TaintGate, format!("{at} {what}")))
+    };
+    let stt_border = match core.cfg.defense {
+        Defense::GateTransmit {
+            border,
+            propagated_untaint: true,
+        } => Some(border),
+        _ => None,
+    };
+    let mut in_flight = vec![false; core.prf.len()];
     for e in core.rob.iter() {
-        if !e.issued {
-            continue;
-        }
-        let Some(slot) = OooCore::transmit_slot(&e.inst) else {
-            continue;
-        };
-        if let Some(p) = e.src_pregs[slot] {
-            if core.prf.is_tainted(p) {
-                return Some((
-                    InvariantKind::TaintGate,
-                    format!(
-                        "seq {} pc {} `{}` issued with tainted transmit operand p{p}",
-                        e.seq, e.pc, e.inst
-                    ),
-                ));
+        if let Some(prd) = e.prd {
+            in_flight[prd as usize] = true;
+            let root = core.yrot[prd as usize];
+            if root > e.seq || (e.inst.is_load_like() && root != e.seq) {
+                return fail(e, format!("has root of taint {root} for p{prd}"));
+            }
+            // The walk first sees an entry the cycle after its dispatch.
+            let walked = e.dispatch_cycle + 1 < core.cycle();
+            let flash = stt_border.is_some_and(|b| walked && core.shadow.covers(b, root));
+            if flash && !core.tainted(prd) {
+                return fail(
+                    e,
+                    format!("left p{prd} untainted, root {root} in the shadow"),
+                );
             }
         }
+        let transmit = OooCore::transmit_slot(&e.inst).and_then(|slot| e.src_pregs[slot]);
+        if let Some(p) = transmit.filter(|&p| e.issued && core.tainted(p)) {
+            return fail(e, format!("issued with tainted transmit operand p{p}"));
+        }
     }
-    None
+    let stale = |p: usize| core.yrot[p] != 0 || core.stt_taint.get(p) == Some(&true);
+    let p = (0..in_flight.len()).find(|&p| !in_flight[p] && stale(p))?;
+    Some((
+        InvariantKind::TaintGate,
+        format!("p{p} is not an in-flight destination but keeps its taint"),
+    ))
 }
 
 #[cfg(test)]

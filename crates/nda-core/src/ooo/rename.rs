@@ -19,7 +19,6 @@ pub struct PhysRegFile {
     vals: Vec<u64>,
     ready: Vec<bool>,
     visible: Vec<bool>,
-    taint: Vec<bool>,
 }
 
 impl PhysRegFile {
@@ -34,7 +33,6 @@ impl PhysRegFile {
             vals: vec![0; n],
             ready: vec![false; n],
             visible: vec![false; n],
-            taint: vec![false; n],
         };
         for i in 0..NUM_REGS {
             f.ready[i] = true;
@@ -86,36 +84,10 @@ impl PhysRegFile {
         self.visible[p as usize] = true;
     }
 
-    /// Recycle a register for a new allocation: clears ready+visible+taint.
+    /// Recycle a register for a new allocation: clears ready+visible.
     pub fn reset(&mut self, p: PReg) {
         self.ready[p as usize] = false;
         self.visible[p as usize] = false;
-        self.taint[p as usize] = false;
-    }
-
-    /// Force ready+visible (used when un-renaming on a squash: the previous
-    /// mapping was architecturally committed, hence visible by definition).
-    /// Committed values are also untainted by definition.
-    pub fn force_visible(&mut self, p: PReg) {
-        self.ready[p as usize] = true;
-        self.visible[p as usize] = true;
-        self.taint[p as usize] = false;
-    }
-
-    /// STT taint bit of `p` (speculatively accessed, possibly secret).
-    pub fn is_tainted(&self, p: PReg) -> bool {
-        self.taint[p as usize]
-    }
-
-    /// Set or clear the taint bit of `p`.
-    pub fn set_taint(&mut self, p: PReg, t: bool) {
-        self.taint[p as usize] = t;
-    }
-
-    /// `true` if any physical register is currently tainted (the drain
-    /// check for the untaint-at-resolution property).
-    pub fn any_tainted(&self) -> bool {
-        self.taint.iter().any(|&t| t)
     }
 }
 
@@ -230,24 +202,6 @@ mod tests {
         assert_eq!(f.value(40), 7);
         f.reset(40);
         assert!(!f.is_ready(40) && !f.is_visible(40));
-    }
-
-    #[test]
-    fn taint_lifecycle() {
-        let mut f = PhysRegFile::new(64);
-        assert!(!f.is_tainted(40) && !f.any_tainted());
-        f.write(40, 7);
-        f.set_taint(40, true);
-        assert!(f.is_tainted(40) && f.any_tainted());
-        f.set_taint(40, false);
-        assert!(!f.any_tainted());
-        // reset and force_visible both clear taint.
-        f.set_taint(40, true);
-        f.reset(40);
-        assert!(!f.is_tainted(40));
-        f.set_taint(41, true);
-        f.force_visible(41);
-        assert!(!f.is_tainted(41));
     }
 
     #[test]

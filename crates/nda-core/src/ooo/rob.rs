@@ -1,10 +1,12 @@
 //! Reorder buffer.
 //!
-//! Each [`RobEntry`] carries the paper's three NDA bookkeeping bits —
-//! `unsafe` (here inverted as [`RobEntry::safe`]), `exec`
-//! ([`RobEntry::completed`]) and `bcast` ([`RobEntry::broadcasted`]) —
-//! plus everything squash recovery needs (old rename mappings, predictor
-//! snapshots) and everything the LSQ needs (addresses, forwarding sources).
+//! Each [`RobEntry`] carries two of the paper's three NDA bookkeeping
+//! bits, `exec` ([`RobEntry::completed`]) and `bcast`
+//! ([`RobEntry::broadcasted`]). The third, `unsafe`, is a compare of the
+//! entry's sequence number against this cycle's [`Shadow`], evaluated
+//! where it is read. Entries also carry everything squash recovery needs
+//! (old rename mappings, predictor snapshots) and everything the LSQ needs
+//! (addresses, forwarding sources).
 
 use super::rename::PReg;
 use crate::policy::Border;
@@ -48,13 +50,6 @@ pub struct RobEntry {
     /// Result value (written to the PRF at completion).
     pub result: u64,
 
-    /// Inverted `unsafe` bit: may this entry broadcast under the active
-    /// policy? Recomputed every cycle by the safety walk.
-    pub safe: bool,
-    /// First cycle the entry was observed safe (for the Fig 9e extra-delay
-    /// knob).
-    pub safe_since: Option<u64>,
-
     /// Branch bookkeeping: resolved at execution.
     pub branch_resolved: bool,
     /// Next PC predicted at fetch.
@@ -95,12 +90,6 @@ pub struct RobEntry {
     /// issue for loads/probes; used by the CPI-stack classifier).
     pub mem_level: Option<nda_mem::Level>,
 
-    /// STT taint bit of this entry's destination: the value is (derived
-    /// from) a speculatively-loaded datum. Mirrors the PRF taint bit of
-    /// `prd`; recomputed every cycle by the taint walk while a
-    /// [`Defense::GateTransmit`](crate::policy::Defense::GateTransmit) is
-    /// active.
-    pub tainted: bool,
     /// Trace bookkeeping: a `TaintGated` event has been emitted for this
     /// entry (emit once per instance, on the first withheld issue).
     pub taint_gate_traced: bool,
@@ -133,8 +122,6 @@ impl RobEntry {
             complete_cycle: 0,
             broadcasted: false,
             result: 0,
-            safe: false,
-            safe_since: None,
             branch_resolved: false,
             pred_next: pc + 1,
             actual_next: pc + 1,
@@ -152,7 +139,6 @@ impl RobEntry {
             is_probe: false,
             exposure_done: None,
             mem_level: None,
-            tainted: false,
             taint_gate_traced: false,
             srcs_visible_cached: false,
         }
@@ -171,6 +157,11 @@ impl RobEntry {
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
+    /// The in-flight branches' sequence numbers, ascending: a ring of the
+    /// ROB's capacity, so it never grows.
+    branches: VecDeque<u64>,
+    /// Index in `branches` past which no branch is known to be resolved.
+    unresolved: usize,
 }
 
 impl Rob {
@@ -179,6 +170,8 @@ impl Rob {
         Rob {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            branches: VecDeque::with_capacity(capacity),
+            unresolved: 0,
         }
     }
 
@@ -207,6 +200,9 @@ impl Rob {
         if let Some(back) = self.entries.back() {
             assert_eq!(back.seq + 1, e.seq, "non-contiguous rob sequence");
         }
+        if e.inst.is_branch() {
+            self.branches.push_back(e.seq);
+        }
         self.entries.push_back(e);
     }
 
@@ -229,27 +225,46 @@ impl Rob {
 
     /// Pop the oldest entry (commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+        let e = self.entries.pop_front()?;
+        if self.branches.front() == Some(&e.seq) {
+            self.branches.pop_front();
+            self.unresolved = self.unresolved.saturating_sub(1);
+        }
+        Some(e)
     }
 
     /// Pop the youngest entry if `seq >= min_squash` (squash unwinding,
     /// tail first so rename recovery is LIFO).
     pub fn pop_tail_from(&mut self, min_squash: u64) -> Option<RobEntry> {
-        if self.entries.back().map(|e| e.seq >= min_squash) == Some(true) {
-            self.entries.pop_back()
-        } else {
-            None
+        if self.entries.back()?.seq < min_squash {
+            return None;
         }
+        let e = self.entries.pop_back()?;
+        if self.branches.back() == Some(&e.seq) {
+            self.branches.pop_back();
+            self.unresolved = self.unresolved.min(self.branches.len());
+        }
+        Some(e)
+    }
+
+    /// The oldest in-flight branch and the oldest unresolved one
+    /// (`u64::MAX` where there is none). The cursor steps over each
+    /// resolved branch once; commit and squash clamp it.
+    pub(crate) fn branch_borders(&mut self) -> (u64, u64) {
+        while let Some(&seq) = self.branches.get(self.unresolved) {
+            if self.get(seq).is_some_and(|e| !e.branch_resolved) {
+                break;
+            }
+            self.unresolved += 1;
+        }
+        let oldest = self.branches.front().copied().unwrap_or(u64::MAX);
+        let unresolved = self.branches.get(self.unresolved).copied();
+        (oldest, unresolved.unwrap_or(u64::MAX))
     }
 
     /// Iterate oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
         self.entries.iter()
-    }
-
-    /// Iterate mutably oldest → youngest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
     }
 }
 
@@ -259,8 +274,7 @@ impl Rob {
 ///
 /// The core computes it once per cycle, right after writeback. Branches
 /// resolve and stores complete only in writeback, and squashes happen only
-/// in commit and writeback, so every later stage of the cycle (the
-/// restriction walk, broadcast, the issue-time checks) sees the same
+/// in commit and writeback, so every later stage of the cycle sees the
 /// borders a fresh ROB walk would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Shadow {
@@ -283,24 +297,19 @@ impl Shadow {
     };
 
     /// The borders of `rob`, whose in-flight stores are `stores`
-    /// (ascending sequence numbers). The branch borders come from a scan
-    /// that stops at the oldest unresolved branch.
-    pub(crate) fn of(rob: &Rob, stores: &[u64]) -> Shadow {
-        let mut shadow = Shadow::NONE;
-        for e in rob.iter().filter(|e| e.inst.is_branch()) {
-            shadow.branch = shadow.branch.min(e.seq);
-            if !e.branch_resolved {
-                shadow.unresolved_branch = e.seq;
-                break;
-            }
+    /// (ascending sequence numbers).
+    pub(crate) fn of(rob: &mut Rob, stores: &[u64]) -> Shadow {
+        let (branch, unresolved_branch) = rob.branch_borders();
+        Shadow {
+            unresolved_branch,
+            branch,
+            store: stores
+                .iter()
+                .copied()
+                .find(|&s| rob.get(s).is_some_and(|e| !e.completed))
+                .unwrap_or(u64::MAX),
+            head: rob.head().map_or(u64::MAX, |e| e.seq),
         }
-        shadow.store = stores
-            .iter()
-            .copied()
-            .find(|&s| rob.get(s).is_some_and(|e| !e.completed))
-            .unwrap_or(u64::MAX);
-        shadow.head = rob.head().map_or(u64::MAX, |e| e.seq);
-        shadow
     }
 
     /// `true` if `seq` is younger than `border`.
@@ -396,7 +405,7 @@ mod tests {
         st.completed = true;
         r.push(st);
         r.push(RobEntry::new(14, 14, store, 0));
-        let sh = Shadow::of(&r, &[13, 14]);
+        let sh = Shadow::of(&mut r, &[13, 14]);
         // Strictly younger than the border is inside its shadow.
         for (border, seq) in [
             (Border::Head, 10),
@@ -408,5 +417,13 @@ mod tests {
             assert!(sh.covers(border, seq + 1), "{border:?}");
         }
         assert!(!Shadow::NONE.covers(Border::Head, u64::MAX - 1));
+        // Squash and commit clamp the unresolved-branch cursor.
+        while r.pop_tail_from(12).is_some() {}
+        assert_eq!(r.branch_borders(), (11, u64::MAX));
+        r.pop_head();
+        r.pop_head();
+        assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
+        r.push(RobEntry::new(12, 12, Inst::Jmp { target: 0 }, 0));
+        assert_eq!(r.branch_borders(), (12, 12));
     }
 }

@@ -136,3 +136,30 @@ proptest! {
             "2-cycle broadcast delay made the batch much faster: {} vs {}", totals[1], totals[0]);
     }
 }
+
+proptest! {
+    // Fewer cases: each one runs 26 checked simulations.
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// Every value of `Defense`, not just the fifteen presets, keeps the
+    /// cycle-level invariants (NDA safety, the broadcast queue, the taint
+    /// roots, the transmit gate) and architecture on random programs, with
+    /// and without the Fig 9e extra broadcast delay.
+    #[test]
+    fn every_defense_value_keeps_the_invariants(
+        seed in 0u64..5_000,
+        extra_delay in 0u64..3,
+    ) {
+        let program = generate(seed, GenConfig { target_len: 100, max_depth: 2, indirect: true, fences: true, msrs: true });
+        let mut oracle = Interp::new(&program);
+        let exit = oracle.run(2_000_000).expect("oracle");
+        for defense in Defense::all() {
+            let mut cfg = SimConfig { defense, check_invariants: true, ..SimConfig::ooo() };
+            cfg.core.broadcast_extra_delay = extra_delay;
+            let r = run_with_config(cfg, &program, 50_000_000)
+                .unwrap_or_else(|e| panic!("{defense:?}: {e}"));
+            prop_assert_eq!(&r.regs, oracle.regs(), "{:?}: architecture diverged", defense);
+            prop_assert_eq!(r.stats.committed_insts, exit.retired);
+        }
+    }
+}
