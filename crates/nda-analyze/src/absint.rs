@@ -23,6 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
+pub use nda_core::Channel;
 use nda_isa::inst::Src2;
 use nda_isa::{Cfg, Inst, Program, SecretSpec, KERNEL_BASE};
 
@@ -316,32 +317,6 @@ pub struct SourceInfo {
     /// its taint is architecturally live — in contrast to a wild load
     /// whose secret-reaching instances only exist transiently.
     pub definite: bool,
-}
-
-/// Transmission channel of a sink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Channel {
-    /// Load with tainted address: d-cache fill keyed by the secret.
-    DCacheLoad,
-    /// Store with tainted address: d-cache RFO/fill keyed by the secret.
-    DCacheStore,
-    /// Indirect jump/call/return steered by tainted data: BTB channel.
-    Btb,
-    /// Conditional branch on tainted data: execution-port / FPU-power /
-    /// predictor channel.
-    CtrlBranch,
-}
-
-impl Channel {
-    /// Stable JSON identifier.
-    pub fn name(self) -> &'static str {
-        match self {
-            Channel::DCacheLoad => "dcache-load",
-            Channel::DCacheStore => "dcache-store",
-            Channel::Btb => "btb",
-            Channel::CtrlBranch => "ctrl-branch",
-        }
-    }
 }
 
 /// A transmitter found at one instruction.

@@ -1,4 +1,4 @@
-//! Speculation-window modeling and per-variant suppression.
+//! Speculation-window modeling and each gadget's anatomy.
 //!
 //! A taint chain is only a *gadget* if it can execute transiently: the
 //! access→transmit chain must fit inside the bounded window opened by a
@@ -8,55 +8,19 @@
 //! successors, cut at serializing instructions (`fence`, `rdcycle`,
 //! `spec_off`…) and bounded by the ROB size.
 //!
-//! Suppression then follows the paper's Table 2 semantics per trigger: a
-//! variant kills the gadget only if it blocks *every* trigger.
+//! What of the chain runs in each trigger's window makes up the gadget's
+//! [`Anatomy`](nda_core::Anatomy), and the one verdict rule
+//! [`Defense::blocks`](nda_core::Defense::blocks) judges it: a variant
+//! kills the gadget only if it blocks *every* trigger.
 
 use std::collections::{HashMap, VecDeque};
 
-use nda_core::{config::CoreModel, Border, Defense, Propagation, SimConfig, Variant};
+pub use nda_core::TriggerKind;
+use nda_core::{Anatomy, Channel, InWindow};
 use nda_isa::inst::UopClass;
 use nda_isa::{Cfg, Program};
 
-use crate::absint::{Analysis, Channel, SourceInfo};
-
-/// How a transient window is opened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerKind {
-    /// Mispredicted conditional branch (either arm may be the wrong path).
-    CondBranch,
-    /// Mispredicted indirect call/jump target (BTB steering).
-    IndirectCall,
-    /// Mispredicted return address (RAS steering).
-    ReturnMispredict,
-    /// Store whose address resolves late: younger loads may bypass it and
-    /// read stale data (Spectre v4 / SSB).
-    SsbStore,
-    /// Architectural fault whose value still propagates transiently
-    /// (Meltdown-style implementation flaw).
-    Fault,
-}
-
-impl TriggerKind {
-    /// Stable JSON identifier.
-    pub fn name(self) -> &'static str {
-        match self {
-            TriggerKind::CondBranch => "cond-branch",
-            TriggerKind::IndirectCall => "indirect-call",
-            TriggerKind::ReturnMispredict => "return",
-            TriggerKind::SsbStore => "ssb-store",
-            TriggerKind::Fault => "fault",
-        }
-    }
-
-    /// `true` for control-flow speculation (the class InvisiSpec-Spectre
-    /// and NDA's propagation policies defend).
-    pub fn is_control(self) -> bool {
-        matches!(
-            self,
-            TriggerKind::CondBranch | TriggerKind::IndirectCall | TriggerKind::ReturnMispredict
-        )
-    }
-}
+use crate::absint::{Analysis, SourceInfo};
 
 /// One window-opening instruction with its transient reach.
 #[derive(Debug, Clone)]
@@ -273,84 +237,33 @@ pub fn triggers_for(
     out
 }
 
-/// Would `variant` suppress a gadget with the given channel, chain and
-/// triggers? `chain_no_sink` is every chain pc except the transmitter.
-pub fn suppressed_by(
+/// The anatomy of the gadget `chain` → `sink_pc` on `channel`: per
+/// trigger, what of the chain besides the transmitter runs in its window.
+pub fn anatomy(
     p: &Program,
-    variant: Variant,
     channel: Channel,
-    chain_no_sink: &[usize],
+    chain: &[usize],
+    sink_pc: usize,
     triggers: &[(usize, TriggerInfo)],
     windows: &[Trigger],
-) -> bool {
-    let sc = SimConfig::for_variant(variant);
-    if sc.model == CoreModel::InOrder {
-        return true;
-    }
-    // Does `border`'s shadow cover the speculation a trigger opens?
-    let shadows = |border: Border, kind: TriggerKind| match border {
-        Border::UnresolvedBranch | Border::Branch => kind.is_control(),
-        Border::Store => kind == TriggerKind::SsbStore,
-        Border::Head => true,
-    };
-    let load_in_window = |ti: usize| {
-        let win = &windows[ti].window;
-        chain_no_sink
+) -> Anatomy {
+    let reach = |ti: usize| {
+        chain
             .iter()
-            .any(|pc| win.contains_key(pc) && p.insts[*pc].is_load_like())
-    };
-    match sc.defense {
-        Defense::None => false,
-        // InvisiSpec hides speculative *loads* from the cache hierarchy and
-        // Delay-On-Miss delays them: only the d-cache load channel is
-        // covered, and only for the speculation their border covers.
-        Defense::InvisibleLoad(border) => {
-            channel == Channel::DCacheLoad && triggers.iter().all(|(_, t)| shadows(border, t.kind))
-        }
-        Defense::DelayOnMiss => {
-            channel == Channel::DCacheLoad
-                && triggers
-                    .iter()
-                    .all(|(_, t)| shadows(Border::UnresolvedBranch, t.kind))
-        }
-        // STT / ShadowBinding gate *transmitting* uses of tainted data: the
-        // explicit channels (tainted load/store address, tainted indirect
-        // target) are covered, the conditional-branch implicit channel is
-        // deliberately not. Taint originates at speculative loads only, so
-        // a control-triggered gadget is dead iff a load of the chain sits
-        // inside the transient window; chosen-code and memory-order
-        // triggers taint the source load itself when the border covers
-        // them. Untaint timing affects cost, never coverage.
-        Defense::GateTransmit { border, .. } => {
-            channel != Channel::CtrlBranch
-                && !triggers.is_empty()
-                && triggers.iter().all(|(ti, t)| {
-                    shadows(border, t.kind) && (!t.kind.is_control() || load_in_window(*ti))
-                })
-        }
-        Defense::DelayBroadcast {
-            propagation,
-            bypass_restriction,
-            load_restriction,
-        } => {
-            let blocked = |(ti, t): &(usize, TriggerInfo)| -> bool {
-                match t.kind {
-                    // Load restriction keeps the faulting/stale value from
-                    // ever broadcasting; bypass restriction forbids the
-                    // bypass itself.
-                    TriggerKind::Fault => load_restriction,
-                    TriggerKind::SsbStore => bypass_restriction || load_restriction,
-                    _ => {
-                        let any_in = chain_no_sink
-                            .iter()
-                            .any(|pc| windows[*ti].window.contains_key(pc));
-                        (propagation == Propagation::Strict && any_in)
-                            || ((propagation == Propagation::Permissive || load_restriction)
-                                && load_in_window(*ti))
-                    }
+            .filter(|&&pc| pc != sink_pc && windows[ti].window.contains_key(&pc))
+            .map(|&pc| {
+                if p.insts[pc].is_load_like() {
+                    InWindow::Load
+                } else {
+                    InWindow::Compute
                 }
-            };
-            !triggers.is_empty() && triggers.iter().all(blocked)
-        }
+            })
+            .max()
+            .unwrap_or(InWindow::Transmitter)
+    };
+    let triggers = triggers.iter().map(|(ti, t)| (t.kind, reach(*ti)));
+    Anatomy {
+        channel,
+        triggers: triggers.collect(),
     }
 }

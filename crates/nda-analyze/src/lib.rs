@@ -14,10 +14,11 @@
 //!    by a trigger (mispredictable branch/call/return, bypassable store,
 //!    or architectural fault).
 //!
-//! For each gadget the analyzer also answers, per NDA policy variant,
-//! whether the variant *suppresses* it — the same question
-//! `nda-verify`'s differential mode answers dynamically on the
-//! simulator.
+//! Each gadget carries its [`Anatomy`](nda_core::Anatomy): its channel and,
+//! per trigger, what of the chain runs in that trigger's window. Whether a
+//! variant *suppresses* it is then [`SimConfig::blocks`](nda_core::SimConfig::blocks),
+//! the rule the attack suite's verdicts come from too — and the question
+//! `nda-verify`'s differential mode answers dynamically on the simulator.
 //!
 //! ```
 //! use nda_isa::{Asm, Reg, SecretSpec};
@@ -48,7 +49,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use nda_core::Variant;
 use nda_isa::{Cfg, Program, SecretSpec};
 
 pub mod absint;
@@ -131,7 +131,7 @@ fn chain_between(
 }
 
 /// Analyze `p` against `spec` and report every gadget with its triggers
-/// and the set of variants that suppress it.
+/// and its anatomy, from which the variants that suppress it follow.
 pub fn analyze(p: &Program, spec: &SecretSpec, cfg: &AnalyzeConfig) -> Report {
     let graph = Cfg::build(p);
     let analysis = absint::run(p, spec, &graph);
@@ -161,26 +161,17 @@ pub fn analyze(p: &Program, spec: &SecretSpec, cfg: &AnalyzeConfig) -> Report {
             if trigs.is_empty() {
                 continue;
             }
-            let chain_no_sink: Vec<usize> =
-                chain.iter().copied().filter(|&pc| pc != sink_pc).collect();
-            let suppressed_by: Vec<Variant> = Variant::all()
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    gadget::suppressed_by(p, v, sink.channel, &chain_no_sink, &trigs, &triggers)
-                })
-                .collect();
+            let anatomy = gadget::anatomy(p, sink.channel, &chain, sink_pc, &trigs, &triggers);
             let mut gadget = Gadget {
                 source_pc: src.pc,
                 source_kind: src.kind,
                 source_disasm: report::disasm(p, src.pc),
                 sink_pc,
-                channel: sink.channel,
                 sink_disasm: report::disasm(p, sink_pc),
+                anatomy,
                 chain,
                 triggers: trigs.into_iter().map(|(_, t)| t).collect(),
                 patch: None,
-                suppressed_by,
             };
             gadget.patch = mitigate::suggest(p, spec, &graph, &gadget);
             gadgets.push(gadget);

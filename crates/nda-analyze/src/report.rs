@@ -3,10 +3,10 @@
 //! The JSON schema is stable for downstream tooling and documented in
 //! DESIGN.md §11.4; `tests/json_snapshot.rs` pins it.
 
-use nda_core::Variant;
+use nda_core::{Anatomy, SimConfig, Variant};
 use nda_isa::Program;
 
-use crate::absint::{Channel, SourceKind};
+use crate::absint::SourceKind;
 use crate::gadget::TriggerInfo;
 use crate::mitigate::PatchPoint;
 
@@ -21,10 +21,11 @@ pub struct Gadget {
     pub source_disasm: String,
     /// Instruction index of the transmitter.
     pub sink_pc: usize,
-    /// Side channel of the transmitter.
-    pub channel: Channel,
     /// Disassembly of the transmitter.
     pub sink_disasm: String,
+    /// Channel of the transmitter and, per trigger, what of the chain
+    /// runs in its window: all a verdict reads.
+    pub anatomy: Anatomy,
     /// Instruction indices on the def-use path from source to sink
     /// (inclusive, sorted).
     pub chain: Vec<usize>,
@@ -33,8 +34,16 @@ pub struct Gadget {
     /// Where the mitigation synthesizer would repair this gadget with
     /// every pass enabled (`None` if no pass applies).
     pub patch: Option<PatchPoint>,
+}
+
+impl Gadget {
     /// Variants that kill every trigger of this gadget.
-    pub suppressed_by: Vec<Variant>,
+    pub fn suppressed_by(&self) -> Vec<Variant> {
+        Variant::all()
+            .into_iter()
+            .filter(|&v| SimConfig::for_variant(v).blocks(&self.anatomy))
+            .collect()
+    }
 }
 
 /// Full analysis result for one program.
@@ -52,9 +61,8 @@ impl Report {
     /// `true` if at least one gadget survives under `variant` — the
     /// static analogue of "the attack leaks on this configuration".
     pub fn leaks_under(&self, variant: Variant) -> bool {
-        self.gadgets
-            .iter()
-            .any(|g| !g.suppressed_by.contains(&variant))
+        let cfg = SimConfig::for_variant(variant);
+        self.gadgets.iter().any(|g| !cfg.blocks(&g.anatomy))
     }
 
     /// Render the human-readable report.
@@ -69,7 +77,7 @@ impl Report {
             self.gadgets.len()
         );
         for (i, g) in self.gadgets.iter().enumerate() {
-            let _ = writeln!(out, "\ngadget #{i}: {} leak", g.channel.name());
+            let _ = writeln!(out, "\ngadget #{i}: {} leak", g.anatomy.channel.name());
             let _ = writeln!(
                 out,
                 "  source  @{:<4} {}  [{}]",
@@ -104,7 +112,7 @@ impl Report {
                 );
             }
             let names = g
-                .suppressed_by
+                .suppressed_by()
                 .iter()
                 .map(|v| v.name())
                 .collect::<Vec<_>>()
@@ -140,7 +148,7 @@ impl Report {
                 "      \"sink\": {{\"pc\": {}, \"inst\": {}, \"channel\": \"{}\"}},\n",
                 g.sink_pc,
                 json_str(&g.sink_disasm),
-                g.channel.name()
+                g.anatomy.channel.name()
             ));
             let chain = g
                 .chain
@@ -172,7 +180,7 @@ impl Report {
                 None => out.push_str("      \"patch\": null,\n"),
             }
             let sup = g
-                .suppressed_by
+                .suppressed_by()
                 .iter()
                 .map(|v| format!("\"{}\"", v.name()))
                 .collect::<Vec<_>>()

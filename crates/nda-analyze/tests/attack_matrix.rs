@@ -6,7 +6,7 @@
 
 use nda_analyze::{analyze, AnalyzeConfig};
 use nda_attacks::AttackKind;
-use nda_core::Variant;
+use nda_core::{Defense, Variant};
 use nda_workloads::WorkloadParams;
 
 #[test]
@@ -36,6 +36,20 @@ fn suppression_verdicts_match_the_paper_matrix() {
                 "{kind} under {}: analyzer says leak={predicted_leak}, \
                  ground truth says leak={truth_leak}\n{}",
                 v.name(),
+                report.render_human()
+            );
+        }
+        // Beyond the presets: under every `Defense` value the gadgets'
+        // anatomies, found in the program, predict the leak the attack's
+        // declared anatomy does.
+        for d in Defense::all() {
+            let predicted_leak = report.gadgets.iter().any(|g| !d.blocks(&g.anatomy));
+            let truth_leak = !d.blocks(&kind.anatomy());
+            assert_eq!(
+                predicted_leak,
+                truth_leak,
+                "{kind} under {d:?}: gadgets say leak={predicted_leak}, \
+                 the attack's anatomy says leak={truth_leak}\n{}",
                 report.render_human()
             );
         }

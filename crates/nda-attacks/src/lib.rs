@@ -18,9 +18,10 @@
 //! on any evaluated [`Variant`] and [`detect::analyze`]s the recovered
 //! timing vector.
 //!
-//! [`AttackKind::expected_blocked`] encodes the ground truth of the paper's
-//! Tables 1-2 — which defense stops which attack — and the integration
-//! tests assert the simulation reproduces that matrix exactly.
+//! [`AttackKind::expected_blocked`] — which defense stops which attack,
+//! the paper's Tables 1-2 — is `nda_core`'s one verdict rule applied to
+//! the attack's [`AttackKind::anatomy`]; the integration tests assert the
+//! simulation reproduces it, and a literal 9×15 table pins it.
 //!
 //! ```no_run
 //! use nda_attacks::{run_attack, AttackKind};
@@ -51,7 +52,7 @@ pub use detect::{analyze, analyze_bits, AttackOutcome};
 pub use layout::*;
 
 use nda_core::config::{squash_name, CoreModel, SimConfig};
-use nda_core::{InOrderCore, OooCore, Variant};
+use nda_core::{Anatomy, Channel, InOrderCore, InWindow, OooCore, TriggerKind, Variant};
 use nda_isa::Program;
 use std::fmt;
 
@@ -139,11 +140,6 @@ impl AttackKind {
         }
     }
 
-    /// The paper's class: control-steering or chosen-code (§3.1).
-    pub fn is_chosen_code(self) -> bool {
-        matches!(self, AttackKind::Meltdown | AttackKind::LazyFp)
-    }
-
     /// Build the attack program for a given secret byte.
     pub fn program(self, secret: u8) -> Program {
         match self {
@@ -228,87 +224,33 @@ impl AttackKind {
         }
     }
 
-    /// Ground truth of the paper's Tables 1-2: is this attack *blocked* on
-    /// the given variant?
-    pub fn expected_blocked(self, v: Variant) -> bool {
+    /// The attack's trigger, what of its chain runs in the window, and its
+    /// channel as the analyzer classifies the transmitter (the contention
+    /// channels transmit through a conditional branch on the secret).
+    pub fn anatomy(self) -> Anatomy {
         use AttackKind::*;
-        use Variant::*;
-        match v {
-            // The insecure baseline blocks nothing.
-            Ooo => false,
-            // In-order executes no wrong path at all.
-            InOrder => true,
-            // NDA propagation policies block all memory-secret
-            // control-steering attacks regardless of covert channel; BR is
-            // needed for SSB; GPR secrets need *strict* (permissive marks
-            // only loads unsafe, and a GPR transmit is pure arithmetic);
-            // only load restriction stops chosen-code attacks.
-            Permissive => matches!(
-                self,
-                SpectreV1Cache | SpectreV1Btb | NetspectreFpu | Smother
-            ),
-            Strict => matches!(
-                self,
-                SpectreV1Cache | SpectreV1Btb | NetspectreFpu | Smother | SpectreV2Gpr | Ret2spec
-            ),
-            PermissiveBr => {
-                matches!(
-                    self,
-                    SpectreV1Cache | SpectreV1Btb | NetspectreFpu | Smother | Ssb
-                )
-            }
-            StrictBr => matches!(
-                self,
-                SpectreV1Cache
-                    | SpectreV1Btb
-                    | NetspectreFpu
-                    | Smother
-                    | SpectreV2Gpr
-                    | Ret2spec
-                    | Ssb
-            ),
-            // Load restriction stops every *load-sourced* secret (all the
-            // paper's attacks) but a GPR secret's arithmetic transmit
-            // still reaches the cache.
-            RestrictedLoads => !matches!(self, SpectreV2Gpr | Ret2spec),
-            FullProtection => true,
-            // InvisiSpec closes only the d-cache channel: the BTB and FPU
-            // channels leak through. Its Spectre variant covers only
-            // control-flow speculation (not SSB or chosen code), but that
-            // includes the GPR attacks' cache transmits.
-            InvisiSpecSpectre => {
-                matches!(self, SpectreV1Cache | SpectreV2Gpr | Ret2spec)
-            }
-            InvisiSpecFuture => {
-                matches!(
-                    self,
-                    SpectreV1Cache | Ssb | Meltdown | LazyFp | SpectreV2Gpr | Ret2spec
-                )
-            }
-            // Delay-on-miss holds speculative L1-missing loads: blocks
-            // cache-miss transmits under control speculation, nothing else.
-            DelayOnMiss => matches!(self, SpectreV1Cache | SpectreV2Gpr | Ret2spec),
-            // Taint tracking gates *transmitting* uses of speculatively
-            // loaded data: the memory-secret control-steering attacks die
-            // (their tainted address reaches a load/store/BTB transmit).
-            // GPR-resident secrets were architecturally committed long
-            // before the gadget runs — never tainted, never gated. The
-            // contention channels (FPU wake-up, divider occupancy) steer
-            // through a *conditional branch on tainted data*, and STT's
-            // explicit-channel gate deliberately leaves branch conditions
-            // unchecked — the documented implicit-channel gap.
-            SttSpectre | ShadowBindingEager | ShadowBindingLazy => {
-                matches!(self, SpectreV1Cache | SpectreV1Btb)
-            }
-            // The futuristic threat model additionally taints chosen-code
-            // (faulting / MSR) and memory-order speculation sources.
-            SttFuturistic => {
-                matches!(
-                    self,
-                    SpectreV1Cache | SpectreV1Btb | Ssb | Meltdown | LazyFp
-                )
-            }
+        use InWindow::{Compute, Load};
+        use TriggerKind::*;
+        let (trigger, reach, channel) = match self {
+            SpectreV1Cache => (CondBranch, Load, Channel::DCacheLoad),
+            SpectreV1Btb => (CondBranch, Load, Channel::Btb),
+            Ssb => (SsbStore, Load, Channel::DCacheLoad),
+            Meltdown | LazyFp => (Fault, Compute, Channel::DCacheLoad),
+            // GPR-resident secrets: only arithmetic runs on the wrong path.
+            SpectreV2Gpr => (IndirectCall, Compute, Channel::DCacheLoad),
+            Ret2spec => (ReturnMispredict, Compute, Channel::DCacheLoad),
+            NetspectreFpu | Smother => (CondBranch, Load, Channel::CtrlBranch),
+        };
+        Anatomy {
+            channel,
+            triggers: vec![(trigger, reach)],
         }
+    }
+
+    /// Is this attack *blocked* on the given variant? The verdict rule,
+    /// [`SimConfig::blocks`], over the attack's [`anatomy`](Self::anatomy).
+    pub fn expected_blocked(self, v: Variant) -> bool {
+        SimConfig::for_variant(v).blocks(&self.anatomy())
     }
 }
 
@@ -329,29 +271,30 @@ pub const ATTACK_MAX_CYCLES: u64 = 80_000_000;
 /// Panics if the program does not halt within the cycle budget (attack
 /// programs are self-contained and always architecturally terminate).
 pub fn run_attack(kind: AttackKind, v: Variant, secret: u8) -> AttackOutcome {
+    run_attack_with(kind, SimConfig::for_variant(v), secret)
+}
+
+/// [`run_attack`] on any configuration, e.g. a `Defense` value no preset
+/// uses. [`AttackKind::tweak_config`] is applied on top of `cfg`.
+pub fn run_attack_with(kind: AttackKind, mut cfg: SimConfig, secret: u8) -> AttackOutcome {
     let program = kind.program(secret);
-    let mut cfg = SimConfig::for_variant(v);
     kind.tweak_config(&mut cfg);
     let bitwise = matches!(kind, AttackKind::NetspectreFpu | AttackKind::Smother);
     let slots = if bitwise { 8 } else { 256 };
-    let timings: Vec<u64> = match cfg.model {
+    let (run, mem) = match cfg.model {
         CoreModel::OutOfOrder => {
             let mut c = OooCore::new(cfg, &program);
-            c.run(ATTACK_MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{kind} on {v}: {e}"));
-            (0..slots)
-                .map(|g| c.mem.read(layout::RESULTS_BASE + 8 * g, 8))
-                .collect()
+            (c.run(ATTACK_MAX_CYCLES), c.mem)
         }
         CoreModel::InOrder => {
             let mut c = InOrderCore::new(cfg, &program);
-            c.run(ATTACK_MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{kind} on {v}: {e}"));
-            (0..slots)
-                .map(|g| c.mem.read(layout::RESULTS_BASE + 8 * g, 8))
-                .collect()
+            (c.run(ATTACK_MAX_CYCLES), c.mem)
         }
     };
+    run.unwrap_or_else(|e| panic!("{kind} on {:?} {:?}: {e}", cfg.model, cfg.defense));
+    let timings: Vec<u64> = (0..slots)
+        .map(|g| mem.read(layout::RESULTS_BASE + 8 * g, 8))
+        .collect();
     if bitwise {
         // FPU power: set bit -> unit awake -> fast. Port contention: set
         // bit -> divider draining -> slow.

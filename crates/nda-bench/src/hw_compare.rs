@@ -9,7 +9,8 @@
 //! only *transmitting* uses of tainted data (STT/ShadowBinding), which in
 //! turn covers channels the load-hiding defenses (InvisiSpec,
 //! delay-on-miss) miss entirely — coverage is priced by the verdict
-//! matrix (`AttackKind::expected_blocked`), cost by this table.
+//! matrix (`AttackKind::expected_blocked`, derived from each attack's
+//! anatomy by `nda_core`'s `SimConfig::blocks`), cost by this table.
 //!
 //! Overheads come from a normal [`SweepResults`] whose variant 0 is the
 //! Base OoO core; the table is a pure renderer plus family bookkeeping,

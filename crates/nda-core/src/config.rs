@@ -1,7 +1,7 @@
 //! Simulator configuration (paper Table 3) and the fifteen evaluated
 //! variants.
 
-use crate::policy::{Border, Defense, Propagation};
+use crate::policy::{Anatomy, Border, Defense, Propagation};
 use nda_mem::MemHierConfig;
 use nda_predict::{BtbConfig, GshareConfig, PredictorKind};
 use std::fmt;
@@ -211,6 +211,13 @@ impl SimConfig {
             model,
             ..SimConfig::ooo()
         }
+    }
+
+    /// Does this configuration stop a chain of anatomy `a`? The in-order
+    /// core executes no wrong path and blocks everything; the out-of-order
+    /// core blocks what its [`Defense`] blocks.
+    pub fn blocks(&self, a: &Anatomy) -> bool {
+        self.model == CoreModel::InOrder || self.defense.blocks(a)
     }
 }
 

@@ -52,7 +52,7 @@ pub use config::{CoreConfig, SimConfig, Variant};
 pub use inorder::InOrderCore;
 pub use ooo::core::{OooCore, RobCellState, RobView};
 pub use ooo::invariants::{InvariantKind, InvariantViolation};
-pub use policy::{Border, Defense, Propagation};
+pub use policy::{Anatomy, Border, Channel, Defense, InWindow, Propagation, TriggerKind};
 pub use result_store::{sanitize_result, ResultKey, ResultStore};
 pub use run::{
     run_smarts, run_smarts_with, run_variant, run_with_config, RunResult, SampledInfo, SimError,

@@ -103,3 +103,161 @@ impl Defense {
             .collect()
     }
 }
+
+impl Border {
+    /// Does this border's shadow cover the speculation a `kind` trigger
+    /// opens? The branch borders cover control speculation, the store
+    /// border memory-order speculation, and the head everything.
+    fn shadows(self, kind: TriggerKind) -> bool {
+        match self {
+            Border::UnresolvedBranch | Border::Branch => kind.is_control(),
+            Border::Store => kind == TriggerKind::SsbStore,
+            Border::Head => true,
+        }
+    }
+}
+
+/// How a transient window is opened: the attack's *trigger*, the first
+/// of the SoK's three attack axes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TriggerKind {
+    /// Mispredicted conditional branch (either arm may be the wrong path).
+    CondBranch,
+    /// Mispredicted indirect call/jump target (BTB steering).
+    IndirectCall,
+    /// Mispredicted return address (RAS steering).
+    ReturnMispredict,
+    /// Store whose address resolves late: younger loads may bypass it and
+    /// read stale data (Spectre v4 / SSB).
+    SsbStore,
+    /// Architectural fault whose value still propagates transiently
+    /// (Meltdown-style implementation flaw).
+    Fault,
+}
+
+impl TriggerKind {
+    /// Stable JSON identifier.
+    pub fn name(self) -> &'static str {
+        match self {
+            TriggerKind::CondBranch => "cond-branch",
+            TriggerKind::IndirectCall => "indirect-call",
+            TriggerKind::ReturnMispredict => "return",
+            TriggerKind::SsbStore => "ssb-store",
+            TriggerKind::Fault => "fault",
+        }
+    }
+
+    /// `true` for control-flow speculation (the class InvisiSpec-Spectre
+    /// and NDA's propagation policies defend).
+    pub fn is_control(self) -> bool {
+        matches!(
+            self,
+            TriggerKind::CondBranch | TriggerKind::IndirectCall | TriggerKind::ReturnMispredict
+        )
+    }
+}
+
+/// The microarchitectural channel a transmitter encodes the secret into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Channel {
+    /// Load with tainted address: d-cache fill keyed by the secret.
+    DCacheLoad,
+    /// Store with tainted address: d-cache RFO/fill keyed by the secret.
+    DCacheStore,
+    /// Indirect jump/call/return steered by tainted data: BTB channel.
+    Btb,
+    /// Conditional branch on tainted data: execution-port / FPU-power /
+    /// predictor channel.
+    CtrlBranch,
+}
+
+impl Channel {
+    /// Stable JSON identifier.
+    pub fn name(self) -> &'static str {
+        match self {
+            Channel::DCacheLoad => "dcache-load",
+            Channel::DCacheStore => "dcache-store",
+            Channel::Btb => "btb",
+            Channel::CtrlBranch => "ctrl-branch",
+        }
+    }
+}
+
+/// What of an access→transmit chain, besides the transmitter, executes
+/// inside one trigger's transient window (ordered: a load is a chain
+/// instruction too).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum InWindow {
+    /// Only the transmitter: the secret is already in a register.
+    Transmitter,
+    /// Chain instructions but no load: compute on a register secret.
+    Compute,
+    /// A load of the chain: the window itself reads the secret.
+    Load,
+}
+
+/// An attack or gadget on the axes defenses are judged by: its channel,
+/// and each trigger that can run it with what runs in that window.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Anatomy {
+    /// Channel of the transmitter.
+    pub channel: Channel,
+    /// Every trigger under which the chain runs transiently.
+    pub triggers: Vec<(TriggerKind, InWindow)>,
+}
+
+impl Defense {
+    /// Does this defense stop a chain of this anatomy? It must block every
+    /// trigger that can run it (a chain no trigger runs is no speculative
+    /// leak). Untaint timing affects cost, never coverage.
+    pub fn blocks(&self, a: &Anatomy) -> bool {
+        !a.triggers.is_empty()
+            && a.triggers
+                .iter()
+                .all(|&(kind, reach)| self.blocks_trigger(a.channel, kind, reach))
+    }
+
+    fn blocks_trigger(&self, channel: Channel, kind: TriggerKind, reach: InWindow) -> bool {
+        let load = reach == InWindow::Load;
+        match *self {
+            Defense::None => false,
+            // InvisiSpec hides speculative *loads* from the cache hierarchy
+            // and Delay-On-Miss delays them: only the d-cache load channel
+            // is covered, and only for the speculation their border covers.
+            Defense::InvisibleLoad(border) => {
+                channel == Channel::DCacheLoad && border.shadows(kind)
+            }
+            Defense::DelayOnMiss => {
+                channel == Channel::DCacheLoad && Border::UnresolvedBranch.shadows(kind)
+            }
+            // STT / ShadowBinding gate *transmitting* uses of tainted data:
+            // the explicit channels are covered, the conditional-branch
+            // implicit channel is deliberately not. Taint originates at
+            // speculative loads only, so a control-triggered chain is dead
+            // iff one of its loads runs in the window; chosen-code and
+            // memory-order triggers taint the source load itself when the
+            // border covers them.
+            Defense::GateTransmit { border, .. } => {
+                channel != Channel::CtrlBranch
+                    && border.shadows(kind)
+                    && (!kind.is_control() || load)
+            }
+            // Load restriction keeps a faulting or stale value from ever
+            // broadcasting, bypass restriction forbids the bypass; under
+            // control speculation strict propagation holds any chain
+            // instruction, permissive (and load restriction) only a load.
+            Defense::DelayBroadcast {
+                propagation,
+                bypass_restriction,
+                load_restriction,
+            } => match kind {
+                TriggerKind::Fault => load_restriction,
+                TriggerKind::SsbStore => bypass_restriction || load_restriction,
+                _ => {
+                    (propagation == Propagation::Strict && reach > InWindow::Transmitter)
+                        || ((propagation == Propagation::Permissive || load_restriction) && load)
+                }
+            },
+        }
+    }
+}

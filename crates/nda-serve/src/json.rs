@@ -7,6 +7,15 @@
 //! objects clients send. This is a strict recursive-descent parser over
 //! the standard grammar — no extensions, no trailing garbage — kept
 //! deliberately tiny so the vendored-deps-only constraint holds.
+//!
+//! Every input byte comes from a client, so the parser is total and
+//! linear: nesting deeper than [`MAX_DEPTH`] is an error rather than a
+//! stack overflow (which would abort the whole server), and strings are
+//! decoded one character at a time from the current position.
+
+/// Deepest array/object nesting a document may have. Requests nest two
+/// levels; the cap keeps the recursion far inside a thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Object keys keep their textual order (requests
 /// are tiny; linear lookup beats pulling in a map).
@@ -31,8 +40,10 @@ impl Json {
     /// error (a request line is exactly one object).
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -89,8 +100,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -132,11 +146,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte {} in value", self.pos)),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -229,11 +257,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // by whole characters, so it is a char boundary of
+                    // `src` and the slice is O(1).
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     if (c as u32) < 0x20 {
                         return Err("raw control character in string".into());
                     }
@@ -295,6 +322,35 @@ mod tests {
         assert!(Json::parse(r#"{"a":01x}"#).is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("\"\u{1}\"").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // On a fresh thread with the default stack: an overflow there
+        // would abort the whole test process, not fail one test.
+        let deep = "[".repeat(100_000);
+        let r = std::thread::spawn(move || Json::parse(&deep))
+            .join()
+            .unwrap();
+        assert!(r.unwrap_err().contains("nesting"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // Decoding is one pass over the input, so a megabyte takes
+        // milliseconds; the budget leaves room for a slow debug build.
+        let body: String = "aé\\\\".repeat(1 << 18);
+        let doc = format!("{{\"s\":\"{body}\"}}");
+        assert!(doc.len() > 1_000_000);
+        let t = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let took = t.elapsed();
+        assert_eq!(v.get("s").unwrap().as_str().unwrap().len(), 4 << 18);
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
     }
 
     #[test]

@@ -341,20 +341,12 @@ fn cmd_workloads() {
 }
 
 fn cmd_attacks() {
-    println!("{:<20}{:<18}channel", "name", "class");
+    println!("{:<20}{:<18}channel", "name", "trigger");
     for k in AttackKind::all() {
-        let class = if k.is_chosen_code() {
-            "chosen-code"
-        } else {
-            "control-steering"
-        };
-        let channel = match k {
-            AttackKind::SpectreV1Btb => "BTB",
-            AttackKind::NetspectreFpu => "FPU power state",
-            AttackKind::Smother => "execution ports",
-            _ => "d-cache",
-        };
-        println!("{:<20}{:<18}{channel}", k.name(), class);
+        let a = k.anatomy();
+        let trigger: Vec<_> = a.triggers.iter().map(|(t, _)| t.name()).collect();
+        let channel = a.channel.name();
+        println!("{:<20}{:<18}{channel}", k.name(), trigger.join(","));
     }
 }
 

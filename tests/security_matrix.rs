@@ -1,7 +1,9 @@
 //! The paper's security claims (Tables 1-2), verified end to end:
 //! every attack PoC is run on every evaluated core variant, and the
-//! leak/blocked outcome must match the ground-truth matrix encoded in
-//! `AttackKind::expected_blocked`.
+//! leak/blocked outcome must match `AttackKind::expected_blocked` — the
+//! verdict `nda_core`'s one rule, `SimConfig::blocks`, derives from the
+//! attack's anatomy (pinned as a literal 9×15 table in
+//! `nda-analyze/tests/attack_matrix.rs`).
 //!
 //! In particular:
 //! * insecure OoO leaks through both the cache and the BTB;
