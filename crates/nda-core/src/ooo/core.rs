@@ -13,8 +13,10 @@
 //!    taint walk, or InvisiSpec exposure.
 //! 4. **broadcast** — port-limited tag broadcast from the queue of
 //!    completed entries; completing instructions have priority, newly-safe
-//!    deferred broadcasts take leftover ports.
-//! 5. **issue** — wake-up/select: only *visible* operands can be read.
+//!    deferred broadcasts take leftover ports. Each broadcast wakes the
+//!    consumers waiting on its register.
+//! 5. **issue** — select among the woken entries: only *visible* operands
+//!    can be read.
 //! 6. **dispatch/rename** — consume the fetch queue into the ROB.
 //! 7. **fetch** — predict and follow (possibly wrong) paths.
 
@@ -56,6 +58,12 @@ pub struct OooCore {
     pub(crate) rob: Rob,
     /// Dispatched-but-unissued sequence numbers, ascending.
     pub(crate) iq: Vec<u64>,
+    /// The issue-queue entries whose sources are all visible, ascending:
+    /// the only entries `issue` looks at.
+    pub(crate) ready: Vec<u64>,
+    /// Per physical register, the unissued consumers waiting for its
+    /// broadcast, ascending, once per source slot that reads it.
+    pub(crate) waiters: Vec<Vec<u64>>,
     /// In-flight load sequence numbers, ascending.
     pub(crate) lq: Vec<u64>,
     /// In-flight store sequence numbers, ascending.
@@ -164,6 +172,8 @@ impl OooCore {
             rename: RenameTable::new(),
             rob: Rob::new(cfg.core.rob_entries),
             iq: Vec::new(),
+            ready: Vec::new(),
+            waiters: vec![Vec::new(); n],
             lq: Vec::new(),
             sq: Vec::new(),
             fe: FrontEnd::new(
@@ -448,11 +458,7 @@ impl OooCore {
                 wait,
             }
         });
-        let iq_ready = self
-            .iq
-            .iter()
-            .filter(|&&s| self.rob.get(s).map(|e| self.srcs_visible(e)) == Some(true))
-            .count();
+        let iq_ready = self.ready.len();
         PipelineSnapshot {
             cycle: now,
             last_commit_cycle: self.last_commit_cycle,
@@ -607,6 +613,9 @@ impl OooCore {
                 self.mem.write(addr, data, head.mem_size);
             }
             let e = self.rob.pop_head().expect("head exists");
+            if let Some(slot) = e.ras_after {
+                self.fe.ras_snaps.release(slot);
+            }
             self.oracle_retire(&e);
             if let Some(prd) = e.prd {
                 // A committed value is untainted by definition (STT's image
@@ -618,7 +627,7 @@ impl OooCore {
                 // Tag broadcast at retirement is always permitted: the head
                 // of the ROB is non-speculative by definition (paper §4.3).
                 if !e.broadcasted {
-                    self.prf.broadcast(prd);
+                    self.wake(prd);
                     let queued = self.bq.remove(0);
                     debug_assert_eq!(queued, e.seq, "the head is the oldest queued entry");
                     self.stats.broadcasts += 1;
@@ -833,8 +842,8 @@ impl OooCore {
                     if matches!(inst, Inst::Branch { .. }) {
                         self.fe.dir.recover(ghr_before, actual_taken);
                     }
-                    if let Some(snap) = ras_after {
-                        self.fe.ras.restore(snap);
+                    if let Some(slot) = ras_after {
+                        self.fe.ras.restore(self.fe.ras_snaps.get(slot));
                     }
                     self.squash_from(seq + 1);
                     self.last_redirect_cycle = Some(now);
@@ -1083,8 +1092,7 @@ impl OooCore {
     /// `true` while the transmit gate must withhold issue of `e`: it is a
     /// transmitting micro-op and the operand feeding its transmit channel
     /// is currently tainted. Not monotone (taint clears at resolution), so
-    /// the gate re-checks every cycle and never touches the sticky
-    /// visibility cache.
+    /// the gate re-checks every cycle a ready entry is considered.
     fn taint_gated(&self, e: &RobEntry) -> bool {
         let Some(slot) = Self::transmit_slot(&e.inst) else {
             return false;
@@ -1119,7 +1127,7 @@ impl OooCore {
                     continue;
                 }
                 let (pc, inst, complete_cycle) = (e.pc, e.inst, e.complete_cycle);
-                self.prf.broadcast(e.prd.expect("queued result"));
+                self.wake(e.prd.expect("queued result"));
                 self.rob.get_mut(seq).expect("in flight").broadcasted = true;
                 ports -= 1;
                 done += 1;
@@ -1138,8 +1146,26 @@ impl OooCore {
         }
     }
 
+    /// Broadcast `p`'s tag (paper Fig 2 step 4): make it visible and wake
+    /// the consumers waiting on it. One whose last awaited source this was
+    /// joins the ready list in age order.
+    fn wake(&mut self, p: PReg) {
+        self.prf.broadcast(p);
+        let mut waiters = std::mem::take(&mut self.waiters[p as usize]);
+        for seq in waiters.drain(..) {
+            let e = self.rob.get_mut(seq).expect("waiter is in flight");
+            e.waiting -= 1;
+            if e.waiting == 0 {
+                let at = self.ready.partition_point(|&s| s < seq);
+                self.ready.insert(at, seq);
+            }
+        }
+        // Hand the emptied list back so its capacity is reused.
+        self.waiters[p as usize] = waiters;
+    }
+
     // ------------------------------------------------------------------
-    // Stage 5: issue (wake-up / select)
+    // Stage 5: issue (select)
     // ------------------------------------------------------------------
 
     fn operand(&self, e: &RobEntry, slot: usize) -> u64 {
@@ -1147,13 +1173,6 @@ impl OooCore {
             Some(p) => self.prf.value(p),
             None => 0,
         }
-    }
-
-    fn srcs_visible(&self, e: &RobEntry) -> bool {
-        e.src_pregs
-            .iter()
-            .flatten()
-            .all(|&p| self.prf.is_visible(p))
     }
 
     fn issue(&mut self) {
@@ -1168,23 +1187,25 @@ impl OooCore {
         let tracing = self.tracer.is_some();
         let gate = matches!(self.cfg.defense, Defense::GateTransmit { .. });
 
-        // Index-based walk: `try_issue` never touches the issue queue, so
-        // no snapshot clone is needed; issued slots are recorded (ascending)
-        // and compacted out in one ordered pass below.
+        // Index-based walk over the woken entries, oldest first: entries
+        // still waiting for an operand are not in `ready`, and `try_issue`
+        // never touches it. Issued slots are recorded (ascending) and
+        // compacted out below.
         let mut issued_idx = std::mem::take(&mut self.scratch_issued_idx);
         issued_idx.clear();
         let mut dispatch_to_issue = 0u64;
-        for i in 0..self.iq.len() {
+        for i in 0..self.ready.len() {
             if total == 0 {
                 break;
             }
-            let seq = self.iq[i];
-            let Some(e) = self.rob.get(seq) else { continue };
-            debug_assert!(!e.issued);
-            // A pending fence serializes: nothing younger may issue.
-            if fence_border.map(|f| seq > f) == Some(true) {
-                continue;
+            let seq = self.ready[i];
+            // A pending fence serializes: nothing younger may issue (and
+            // everything after this entry is younger still).
+            if fence_border.is_some_and(|f| seq > f) {
+                break;
             }
+            let e = self.rob.get(seq).expect("ready entry is in flight");
+            debug_assert!(!e.issued && e.waiting == 0);
             // Serializing micro-ops issue only from the head of the ROB.
             if matches!(
                 e.inst,
@@ -1193,20 +1214,8 @@ impl OooCore {
             {
                 continue;
             }
-            let srcs_cached = e.srcs_visible_cached;
-            if !srcs_cached && !self.srcs_visible(e) {
-                continue;
-            }
             let class = e.inst.class();
             let dispatch_cycle = e.dispatch_cycle;
-            if !srcs_cached {
-                // Sticky wake-up bit: skip the per-source re-derivation on
-                // later cycles while the entry waits on ports or fences.
-                self.rob
-                    .get_mut(seq)
-                    .expect("entry exists")
-                    .srcs_visible_cached = true;
-            }
             // STT transmit-side gate: a transmitting micro-op may not
             // issue while the operand feeding its transmit channel is
             // tainted. Checked after wakeup (the entry is otherwise ready)
@@ -1251,19 +1260,24 @@ impl OooCore {
             self.stats.issue_active_cycles += 1;
             self.stats.issued_insts += issued_idx.len() as u64;
             self.stats.dispatch_to_issue_total += dispatch_to_issue;
-            // Ordered in-place compaction (O(iq), preserves age order —
-            // swap-removal would reorder the queue and change scheduling).
+            for &i in &issued_idx {
+                let seq = self.ready[i];
+                let at = self.iq.binary_search(&seq).expect("ready entry is queued");
+                self.iq.remove(at);
+            }
+            // Ordered in-place compaction (preserves age order — swap-removal
+            // would reorder the list and change scheduling).
             let mut next = 0;
             let mut w = 0;
-            for r in 0..self.iq.len() {
+            for r in 0..self.ready.len() {
                 if next < issued_idx.len() && issued_idx[next] == r {
                     next += 1;
                     continue;
                 }
-                self.iq[w] = self.iq[r];
+                self.ready[w] = self.ready[r];
                 w += 1;
             }
-            self.iq.truncate(w);
+            self.ready.truncate(w);
         }
         self.scratch_issued_idx = issued_idx;
     }
@@ -1599,6 +1613,7 @@ impl OooCore {
             }
             if let Some(rd) = uop.inst.dest() {
                 let prd = self.free.alloc().expect("checked available");
+                debug_assert!(self.waiters[prd as usize].is_empty());
                 self.prf.reset(prd);
                 self.forget_taint(prd);
                 // A load roots its own taint; anything else inherits the
@@ -1658,6 +1673,15 @@ impl OooCore {
             }
             if enqueue {
                 self.iq.push(seq);
+                for &p in e.src_pregs.iter().flatten() {
+                    if !self.prf.is_visible(p) {
+                        e.waiting += 1;
+                        self.waiters[p as usize].push(seq);
+                    }
+                }
+                if e.waiting == 0 {
+                    self.ready.push(seq);
+                }
             }
             self.trace_event(seq, e.pc, e.inst, crate::trace::TraceStage::Dispatch);
             if e.completed {
@@ -1676,8 +1700,21 @@ impl OooCore {
     /// "discarding values in physical registers that never became safe").
     pub(crate) fn squash_from(&mut self, min_seq: u64) {
         let mut any = false;
+        // The oldest squashed RAS snapshot: it and everything younger go.
+        let mut ras_cut = None;
         while let Some(e) = self.rob.pop_tail_from(min_seq) {
             any = true;
+            ras_cut = e.ras_after.or(ras_cut);
+            if e.waiting > 0 {
+                // Waiter lists are ascending, and sequence numbers from
+                // `min_seq` on are reused: pop every squashed waiter.
+                for &p in e.src_pregs.iter().flatten() {
+                    let waiters = &mut self.waiters[p as usize];
+                    while waiters.last().is_some_and(|&s| s >= min_seq) {
+                        waiters.pop();
+                    }
+                }
+            }
             if e.issued {
                 self.stats.wrong_path_executed += 1;
             }
@@ -1697,7 +1734,15 @@ impl OooCore {
         if any {
             let queued = self.bq.partition_point(|&s| s < min_seq);
             self.bq.truncate(queued);
+            // The queued micro-ops' snapshots are younger and go too: every
+            // squash is followed by a redirect that empties the fetch queue,
+            // except an unhandled fault, which ends the run.
+            if let Some(slot) = ras_cut {
+                self.fe.ras_snaps.truncate(slot);
+            }
             self.iq.retain(|&s| s < min_seq);
+            let ready = self.ready.partition_point(|&s| s < min_seq);
+            self.ready.truncate(ready);
             self.lq.retain(|&s| s < min_seq);
             self.sq.retain(|&s| s < min_seq);
             while self.pending_fences.back().is_some_and(|&s| s >= min_seq) {
@@ -1811,7 +1856,7 @@ impl OooCore {
                 let Some(e) = self.iq.first().and_then(|&seq| self.rob.get(seq)) else {
                     return false;
                 };
-                return (e.srcs_visible_cached || self.srcs_visible(e)) && self.taint_gated(e);
+                return e.waiting == 0 && self.taint_gated(e);
             }
             Defense::DelayBroadcast { .. } | Defense::InvisibleLoad(_) => {}
         }

@@ -5,6 +5,12 @@
 //! `t` becomes eligible for dispatch at `t + fetch_to_dispatch`, which is
 //! what makes a misprediction cost ~16 cycles end to end (the penalty the
 //! paper measures for its BTB covert channel, Fig 5).
+//!
+//! A micro-op that may mispredict carries no RAS snapshot of its own, only
+//! a [`RasSlot`] naming one in the front end's `RasRing`: the snapshots
+//! are taken in fetch order and die in the same order (commit releases the
+//! oldest, a squash or redirect drops the youngest), so one FIFO holds
+//! them all and the fetch queue and ROB entries stay small.
 
 use nda_isa::{Inst, Program};
 use nda_mem::{Level, MemHier};
@@ -26,8 +32,62 @@ pub struct FetchedUop {
     pub pred_taken: bool,
     /// GHR snapshot just before predicting this branch.
     pub ghr_before: u64,
-    /// RAS snapshot just after this branch's own push/pop.
-    pub ras_after: Option<RasSnapshot>,
+    /// Ring slot of the RAS snapshot taken just after this micro-op's own
+    /// push/pop (conditional branches, indirect jumps and calls, returns:
+    /// what can mispredict).
+    pub ras_after: Option<RasSlot>,
+}
+
+/// Names one snapshot in the front end's `RasRing`. Slots count up in
+/// fetch order and wrap at `u32::MAX`; at most a ROB plus a fetch buffer
+/// of them are live.
+pub type RasSlot = u32;
+
+/// The squash-recovery RAS snapshots of the fetched, not yet retired
+/// micro-ops that may mispredict, oldest first. Fetch pushes, commit
+/// releases the oldest, and a squash or redirect drops the youngest, so
+/// the live snapshots are always one contiguous run of slots.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RasRing {
+    snaps: VecDeque<RasSnapshot>,
+    /// Slot of `snaps[0]`.
+    base: RasSlot,
+}
+
+impl RasRing {
+    /// Append the youngest snapshot; returns its slot.
+    pub(crate) fn push(&mut self, snap: RasSnapshot) -> RasSlot {
+        self.snaps.push_back(snap);
+        self.base.wrapping_add(self.snaps.len() as u32 - 1)
+    }
+
+    /// The snapshot in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not live.
+    pub(crate) fn get(&self, slot: RasSlot) -> RasSnapshot {
+        self.snaps[slot.wrapping_sub(self.base) as usize]
+    }
+
+    /// Release the oldest snapshot, which must be `slot` (its micro-op
+    /// retired).
+    pub(crate) fn release(&mut self, slot: RasSlot) {
+        debug_assert_eq!(slot, self.base, "ras snapshots retire in fetch order");
+        self.snaps.pop_front();
+        self.base = self.base.wrapping_add(1);
+    }
+
+    /// Drop `slot` and every younger snapshot (squash); a no-op for a
+    /// slot already dropped.
+    pub(crate) fn truncate(&mut self, slot: RasSlot) {
+        self.snaps.truncate(slot.wrapping_sub(self.base) as usize);
+    }
+
+    /// The live slots, oldest first.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = RasSlot> + '_ {
+        (0..self.snaps.len() as u32).map(|i| self.base.wrapping_add(i))
+    }
 }
 
 /// Fetch parameters (subset of the core config the front end needs).
@@ -57,6 +117,8 @@ pub struct FrontEnd {
     pub btb: Btb,
     /// Return address stack.
     pub ras: Ras,
+    /// Snapshots of `ras` for the in-flight micro-ops that may mispredict.
+    pub(crate) ras_snaps: RasRing,
 }
 
 impl FrontEnd {
@@ -71,6 +133,7 @@ impl FrontEnd {
             dir,
             btb,
             ras: Ras::new(),
+            ras_snaps: RasRing::default(),
         }
     }
 
@@ -79,9 +142,12 @@ impl FrontEnd {
         self.queue.len()
     }
 
-    /// Squash recovery: discard everything fetched, restart at `pc` next
-    /// cycle.
+    /// Squash recovery: discard everything fetched (and its RAS
+    /// snapshots), restart at `pc` next cycle.
     pub fn redirect(&mut self, now: u64, pc: usize) {
+        if let Some(slot) = self.queue.iter().find_map(|u| u.ras_after) {
+            self.ras_snaps.truncate(slot);
+        }
         self.queue.clear();
         self.fetch_pc = pc;
         self.stall_until = now + 1;
@@ -100,6 +166,11 @@ impl FrontEnd {
     /// Peek without consuming (dispatch resource checks).
     pub fn peek_ready(&self, now: u64) -> Option<&FetchedUop> {
         self.queue.front().filter(|u| u.ready_cycle <= now)
+    }
+
+    /// The queued micro-ops, oldest first.
+    pub(crate) fn queue(&self) -> impl Iterator<Item = &FetchedUop> {
+        self.queue.iter()
     }
 
     /// Run one fetch cycle: predict and enqueue up to `fetch_width`
@@ -149,25 +220,23 @@ impl FrontEnd {
                         uop.pred_next = target;
                         redirect_target = Some(target);
                     }
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
+                // Direct jumps resolve at dispatch and never mispredict:
+                // no snapshot.
                 Inst::Jmp { target } => {
                     uop.pred_next = target;
                     redirect_target = Some(target);
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
                 Inst::Call { target } => {
                     self.ras.push(pc + 1);
                     uop.pred_next = target;
                     redirect_target = Some(target);
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
                 Inst::JmpInd { .. } => {
                     if let Some(t) = self.btb.lookup(addr) {
                         uop.pred_next = t;
                         redirect_target = Some(t);
                     }
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
                 Inst::CallInd { .. } => {
                     self.ras.push(pc + 1);
@@ -175,16 +244,20 @@ impl FrontEnd {
                         uop.pred_next = t;
                         redirect_target = Some(t);
                     }
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
                 Inst::Ret => {
                     if let Some(t) = self.ras.pop() {
                         uop.pred_next = t;
                         redirect_target = Some(t);
                     }
-                    uop.ras_after = Some(self.ras.snapshot());
                 }
                 _ => {}
+            }
+            if matches!(
+                inst,
+                Inst::Branch { .. } | Inst::JmpInd { .. } | Inst::CallInd { .. } | Inst::Ret
+            ) {
+                uop.ras_after = Some(self.ras_snaps.push(self.ras.snapshot()));
             }
             let taken_redirect = redirect_target.is_some() && uop.pred_next != pc + 1;
             self.queue.push_back(uop);
@@ -304,6 +377,51 @@ mod tests {
         f.fetch_cycle(200, &p, &mut h);
         let u = f.pop_ready(210).unwrap();
         assert_eq!(u.pred_next, 1, "BTB miss predicts fall-through");
+    }
+
+    #[test]
+    fn ras_ring_is_a_fifo_of_slots() {
+        let mut ring = RasRing {
+            base: u32::MAX - 1,
+            ..RasRing::default()
+        };
+        let mut ras = Ras::new();
+        let a = ring.push(ras.snapshot());
+        ras.push(7);
+        let b = ring.push(ras.snapshot());
+        let c = ring.push(ras.snapshot());
+        // Slots wrap.
+        assert_eq!((a, b, c), (u32::MAX - 1, u32::MAX, 0));
+        assert_eq!(ring.get(b), ras.snapshot());
+        ring.release(a);
+        ring.truncate(c);
+        ring.truncate(c); // already dropped: no-op
+        assert_eq!(ring.slots().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(ring.push(ras.snapshot()), c, "a dropped slot is reused");
+    }
+
+    #[test]
+    fn redirect_drops_the_queued_ras_snapshots() {
+        let mut asm = Asm::new();
+        let l = asm.new_label();
+        asm.beq(Reg::X2, Reg::X0, l); // 0: snapshot
+        asm.nop(); // 1
+        asm.bind(l);
+        asm.ret(); // 2: snapshot
+        asm.halt();
+        let p = asm.assemble().unwrap();
+        let mut f = fe(0);
+        let mut h = warm_hier();
+        f.fetch_cycle(0, &p, &mut h);
+        f.fetch_cycle(200, &p, &mut h);
+        let held: Vec<_> = f.queue().filter_map(|u| u.ras_after).collect();
+        assert_eq!(held, vec![0, 1]);
+        assert_eq!(f.ras_snaps.slots().collect::<Vec<_>>(), held);
+        let branch = f.pop_ready(203).unwrap();
+        f.redirect(204, 1);
+        // The dispatched branch keeps its snapshot; the queued ret's goes.
+        assert_eq!(f.ras_snaps.slots().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(branch.ras_after, Some(0));
     }
 
     #[test]

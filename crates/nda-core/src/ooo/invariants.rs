@@ -8,12 +8,18 @@
 //! * **Physical-register conservation** — the free list, the committed
 //!   architectural map and the in-flight ROB destinations partition the
 //!   PRF exactly: every physical register accounted for exactly once.
-//! * **ROB order** — sequence numbers are contiguous and every in-flight
-//!   source physical register is live (never on the free list).
+//! * **ROB order** — sequence numbers are contiguous, every in-flight
+//!   source physical register is live (never on the free list), and the
+//!   front end's RAS snapshot ring holds exactly the snapshots of the ROB
+//!   entries and then the queued micro-ops, in fetch order.
 //! * **LSQ order** — the load and store queues are exactly the program-
 //!   ordered projections of the ROB's loads and stores.
 //! * **IQ consistency** — the issue queue holds exactly the dispatched-
 //!   but-unissued, not-yet-complete entries.
+//! * **Ready consistency** — each entry's wake-up count is its number of
+//!   invisible source slots, each register's waiter list is exactly the
+//!   ascending unissued consumers still waiting on it, and the ready list
+//!   is exactly the ascending issue-queue entries with none left.
 //! * **NDA safety** — a broadcast destination implies the producer
 //!   completed, is safe under the active policy, and its register is
 //!   visible; visibility always implies readiness (no consumer can
@@ -49,6 +55,9 @@ pub enum InvariantKind {
     LsqOrder,
     /// Issue queue disagrees with the ROB's issued/completed bits.
     IqConsistency,
+    /// The wake-up bookkeeping (wake-up counts, per-register waiter lists,
+    /// the ready list) disagrees with operand visibility.
+    ReadyConsistency,
     /// The NDA broadcast discipline was violated (an unsafe or incomplete
     /// instruction made its value visible).
     NdaSafety,
@@ -69,6 +78,7 @@ impl fmt::Display for InvariantKind {
             InvariantKind::RobOrder => "rob order",
             InvariantKind::LsqOrder => "lsq order",
             InvariantKind::IqConsistency => "issue-queue consistency",
+            InvariantKind::ReadyConsistency => "ready-list consistency",
             InvariantKind::NdaSafety => "nda safety",
             InvariantKind::CommitDivergence => "commit divergence",
             InvariantKind::TaintGate => "taint gate",
@@ -125,6 +135,7 @@ fn find_violation(core: &OooCore) -> Option<(InvariantKind, String)> {
         .or_else(|| check_rob_order(core))
         .or_else(|| check_lsq_order(core))
         .or_else(|| check_iq_consistency(core))
+        .or_else(|| check_ready_consistency(core))
         .or_else(|| check_nda_safety(core))
         .or_else(|| check_taint_gate(core))
 }
@@ -210,7 +221,15 @@ fn check_rob_order(core: &OooCore) -> Option<(InvariantKind, String)> {
             }
         }
     }
-    None
+    let rob_slots = core.rob.iter().filter_map(|e| e.ras_after);
+    let want: Vec<_> = rob_slots
+        .chain(core.fe.queue().filter_map(|u| u.ras_after))
+        .collect();
+    let live: Vec<_> = core.fe.ras_snaps.slots().collect();
+    (live != want).then(|| {
+        let d = format!("ras snapshot slots {live:?} but in-flight micro-ops hold {want:?}");
+        (InvariantKind::RobOrder, d)
+    })
 }
 
 /// `lq`/`sq` must be exactly the ascending sequence numbers of the ROB's
@@ -259,6 +278,54 @@ fn check_iq_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
         ));
     }
     None
+}
+
+/// Wake-up: every entry waits on exactly its invisible source slots, each
+/// register's waiter list names exactly the unissued consumers waiting on
+/// it (ascending, once per slot), and `ready` is exactly the ascending
+/// issue-queue entries waiting on nothing.
+fn check_ready_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
+    let mut want_waiters = vec![Vec::new(); core.prf.len()];
+    let mut want_ready = Vec::new();
+    for e in core.rob.iter() {
+        let invisible = e.src_pregs.iter().flatten();
+        let invisible: Vec<_> = invisible.filter(|&&p| !core.prf.is_visible(p)).collect();
+        if usize::from(e.waiting) != invisible.len() {
+            let d = format!(
+                "seq {} pc {} `{}` waits on {} sources but {} are invisible",
+                e.seq,
+                e.pc,
+                e.inst,
+                e.waiting,
+                invisible.len()
+            );
+            return Some((InvariantKind::ReadyConsistency, d));
+        }
+        if !e.issued && !e.completed {
+            for &p in invisible {
+                want_waiters[p as usize].push(e.seq);
+            }
+            if e.waiting == 0 {
+                want_ready.push(e.seq);
+            }
+        }
+    }
+    if core.ready != want_ready {
+        let d = format!(
+            "ready {:?} but woken unissued entries are {want_ready:?}",
+            core.ready
+        );
+        return Some((InvariantKind::ReadyConsistency, d));
+    }
+    let (p, want) = want_waiters
+        .iter()
+        .enumerate()
+        .find(|&(p, want)| core.waiters[p] != *want)?;
+    let d = format!(
+        "p{p} waiters {:?} but its waiting consumers are {want:?}",
+        core.waiters[p]
+    );
+    Some((InvariantKind::ReadyConsistency, d))
 }
 
 /// The paper's central guarantee: a value becomes visible only through a
@@ -408,6 +475,34 @@ mod tests {
             }
             other => panic!("expected InvariantViolation, got {other}"),
         }
+    }
+
+    #[test]
+    fn entry_dropped_from_ready_is_caught() {
+        // While the cold load misses, the adds wait on it and each `li`
+        // (no sources) is ready from dispatch.
+        let mut asm = Asm::new();
+        asm.li(Reg::X2, 0x8000);
+        asm.ld8(Reg::X3, Reg::X2, 0);
+        for _ in 0..8 {
+            asm.alu(nda_isa::AluOp::Add, Reg::X3, Reg::X3, Reg::X3);
+            asm.li(Reg::X5, 1);
+        }
+        asm.halt();
+        let p = asm.assemble().unwrap();
+        let mut core = crate::OooCore::new(checked_cfg(), &p);
+        loop {
+            assert!(!core.halted(), "never held a woken and a waiting entry");
+            core.step_cycle();
+            check(&mut core).expect("clean pipeline");
+            if !core.ready.is_empty() && core.waiters.iter().any(|w| !w.is_empty()) {
+                break;
+            }
+        }
+        core.ready.remove(0);
+        let v = check(&mut core).unwrap_err();
+        assert_eq!(v.kind, InvariantKind::ReadyConsistency);
+        assert!(v.detail.starts_with("ready "), "detail: {}", v.detail);
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! ([`RobEntry::broadcasted`]). The third, `unsafe`, is a compare of the
 //! entry's sequence number against this cycle's [`Shadow`], evaluated
 //! where it is read. Entries also carry everything squash recovery needs
-//! (old rename mappings, predictor snapshots) and everything the LSQ needs
-//! (addresses, forwarding sources).
+//! (old rename mappings, the GHR, a slot in the front end's RAS snapshot
+//! ring) and everything the LSQ needs (addresses, forwarding sources).
 
+use super::frontend::RasSlot;
 use super::rename::PReg;
 use crate::policy::Border;
 use nda_isa::{Fault, Inst, Reg};
-use nda_predict::RasSnapshot;
 use std::collections::VecDeque;
 
 /// One in-flight micro-op.
@@ -62,8 +62,9 @@ pub struct RobEntry {
     pub actual_taken: bool,
     /// GHR snapshot taken just before this branch predicted.
     pub ghr_before: u64,
-    /// RAS snapshot taken just after this branch's own push/pop at fetch.
-    pub ras_after: Option<RasSnapshot>,
+    /// Ring slot of the RAS snapshot taken just after this branch's own
+    /// push/pop at fetch, in the front end's `RasRing`.
+    pub ras_after: Option<RasSlot>,
     /// Set at resolution if `pred_next != actual_next`.
     pub mispredicted: bool,
 
@@ -94,13 +95,10 @@ pub struct RobEntry {
     /// entry (emit once per instance, on the first withheld issue).
     pub taint_gate_traced: bool,
 
-    /// Wake-up cache: all source registers have been observed visible.
-    /// Visibility is monotone while the consumer is in flight (a source
-    /// physical register cannot be recycled before every in-flight reader
-    /// has committed or squashed), so once set the per-cycle
-    /// `srcs_visible` re-derivation is skipped for entries that are only
-    /// waiting on ports, fences or serialisation.
-    pub srcs_visible_cached: bool,
+    /// Wake-up count: source slots whose register has not broadcast yet.
+    /// Set at dispatch, decremented by each broadcast of a waited-on
+    /// register; the entry joins the core's ready list at zero.
+    pub waiting: u8,
 }
 
 impl RobEntry {
@@ -140,7 +138,7 @@ impl RobEntry {
             exposure_done: None,
             mem_level: None,
             taint_gate_traced: false,
-            srcs_visible_cached: false,
+            waiting: 0,
         }
     }
 
@@ -377,6 +375,15 @@ mod tests {
         let mut r = Rob::new(4);
         r.push(entry(0));
         r.push(entry(2));
+    }
+
+    #[test]
+    fn hot_structs_stay_small() {
+        // The ROB and fetch queue are walked every cycle: a 192-entry ROB
+        // of 240-byte entries is 45 KiB. RAS snapshots (144 bytes each)
+        // live in the front end's ring, not here.
+        assert!(std::mem::size_of::<RobEntry>() <= 240);
+        assert!(std::mem::size_of::<super::super::frontend::FetchedUop>() <= 72);
     }
 
     #[test]

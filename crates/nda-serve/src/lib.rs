@@ -43,4 +43,4 @@ pub use engine::{render_response, Engine, Outcome, Pending, ServeConfig};
 pub use protocol::{
     AnalyzeSpec, Op, Request, RunSpec, SweepSpec, TraceSpec, DEFAULT_BUDGET, PROTOCOL_MAGIC,
 };
-pub use server::Server;
+pub use server::{Server, MAX_LINE_BYTES};

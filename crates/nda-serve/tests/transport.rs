@@ -72,6 +72,38 @@ fn stream_answers_in_order_and_recovers_from_bad_lines() {
 }
 
 #[test]
+fn over_long_line_gets_one_error_then_service_resumes() {
+    let server = new_server();
+    let run = r#"{"id":2,"op":"run","workload":"mcf","variant":"OoO","iters":30}"#;
+    // A valid-looking request padded past the cap: its id must not be
+    // recovered, since the server never holds the whole line.
+    let long = format!(
+        r#"{{"id":1,"op":"run","workload":"{}"}}"#,
+        "m".repeat(nda_serve::MAX_LINE_BYTES)
+    );
+    let mut batch = format!("{long}\n{run}\n").into_bytes();
+    // A line that is not UTF-8 is answered too, not a dropped connection.
+    batch.extend_from_slice(b"\xff\xfe\n");
+    batch.extend_from_slice(run.replace("\"id\":2", "\"id\":3").as_bytes());
+    let mut out = Vec::new();
+    server
+        .serve_stream(Cursor::new(batch), &mut out)
+        .expect("stream serves");
+
+    let lines = response_lines(&out);
+    assert_eq!(lines.len(), 4, "one response per line: {lines:?}");
+    assert_eq!(field(&lines[0], "id"), "0");
+    assert_eq!(field(&lines[0], "ok"), "false");
+    assert!(lines[0].contains("exceeds"), "{}", lines[0]);
+    assert_eq!(field(&lines[1], "id"), "2");
+    assert_eq!(field(&lines[1], "ok"), "true");
+    assert_eq!(field(&lines[2], "ok"), "false");
+    assert!(lines[2].contains("UTF-8"), "{}", lines[2]);
+    assert_eq!(field(&lines[3], "id"), "3");
+    assert_eq!(field(&lines[3], "ok"), "true");
+}
+
+#[test]
 fn second_stream_on_same_engine_is_fully_cached() {
     let server = new_server();
     let batch = concat!(
