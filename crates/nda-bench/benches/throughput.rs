@@ -3,11 +3,11 @@
 //! Runs the Fig 7 sweep twice — once serially (always one job) and once
 //! on the worker pool at `max(NDA_JOBS, available_parallelism)` — checks
 //! the two results are bit-identical (panics on divergence; the CI smoke
-//! relies on this), probes sampled simulation against full detail on the
-//! pinned workloads (wall-clock speedup + CPI-within-CI check), and emits
-//! `BENCH_throughput.json` at the workspace root with per-variant
-//! simulated-cycles-per-host-second and the end-to-end wall times, so the
-//! perf trajectory is tracked in-repo.
+//! relies on this), and emits `BENCH_throughput.json` at the workspace
+//! root with per-variant simulated-cycles-per-host-second and the
+//! end-to-end wall times, so the perf trajectory is tracked in-repo.
+//! Sampled simulation and the checkpoint store are measured by
+//! perfbench's `sampled_store` workload instead.
 //!
 //! `NDA_JOBS` caps only the *serial-vs-parallel probe floor*: the
 //! parallel leg never runs below the host's parallelism, so setting
@@ -22,20 +22,11 @@
 //! the number — `host_parallelism` in `params` lets readers judge for
 //! themselves.
 //!
-//! A `checkpoint_store` section probes the persistent checkpoint store:
-//! one cold sampled run populates it, a warm run hits it (asserted — the
-//! warm path must do zero fast-forward instructions) and must be
-//! bit-identical to the cold one; the cold/warm wall clocks quantify what
-//! the store saves.
-//!
 //! Knobs: `NDA_SAMPLES` / `NDA_ITERS` / `NDA_JOBS` as usual, plus
 //! `NDA_THROUGHPUT_OUT` to redirect the JSON.
 
 use nda_bench::{sweep, SweepConfig, SweepResults};
-use nda_core::{
-    collect_checkpoints_cached, run_sampled, run_sampled_with, CheckpointStore, SampledParams,
-    SimConfig, Variant,
-};
+use nda_core::Variant;
 use std::time::Instant;
 
 /// Single-thread throughput measured at the seed of the perf PR
@@ -68,142 +59,6 @@ fn single_thread_probe() -> (u64, f64) {
         r.stats.cycles,
         r.sim_cycles_per_host_sec().expect("host time captured"),
     )
-}
-
-/// One pinned workload measured full-detail and sampled, back to back on
-/// the same program and the OoO baseline.
-struct SampledProbe {
-    workload: &'static str,
-    full_wall_s: f64,
-    full_cpi: f64,
-    sampled_wall_s: f64,
-    /// Wall clock of the master functional pass (fast-forward + warming).
-    ff_wall_s: f64,
-    /// Wall clock of the detailed warm+measure windows.
-    detail_wall_s: f64,
-    /// Full-detail wall clock over sampled wall clock.
-    speedup: f64,
-    cpi_mean: f64,
-    cpi_ci95: f64,
-    windows: usize,
-    detailed_insts: u64,
-    total_insts: u64,
-    /// `|sampled mean − full CPI| ≤ sampled CI95`.
-    within_ci: bool,
-}
-
-/// Run one pinned workload in full detail and sampled (default U/W/D
-/// schedule) and compare wall clocks and CPIs.
-fn sampled_probe(workload: &'static str, params: SampledParams) -> SampledProbe {
-    let w = nda_workloads::by_name(workload).expect("pinned workload exists");
-    let prog = (w.build)(&nda_workloads::WorkloadParams {
-        seed: 1,
-        iters: PROBE_ITERS,
-    });
-
-    let t = Instant::now();
-    let full = nda_core::run_variant(Variant::Ooo, &prog, 2_000_000_000).expect("full run halts");
-    let full_wall_s = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let r = run_sampled(
-        SimConfig::for_variant(Variant::Ooo),
-        &prog,
-        params,
-        2_000_000_000,
-    )
-    .expect("sampled run halts");
-    let sampled_wall_s = t.elapsed().as_secs_f64();
-
-    assert_eq!(
-        r.regs, full.regs,
-        "{workload}: sampled changed architecture"
-    );
-    let info = r.sampled.expect("workload long enough to sample");
-    let full_cpi = full.cpi();
-    SampledProbe {
-        workload,
-        full_wall_s,
-        full_cpi,
-        sampled_wall_s,
-        ff_wall_s: info.ff_wall_ns as f64 / 1e9,
-        detail_wall_s: info.detail_wall_ns as f64 / 1e9,
-        speedup: full_wall_s / sampled_wall_s.max(1e-12),
-        cpi_mean: info.cpi.mean,
-        cpi_ci95: info.cpi.ci95,
-        windows: info.windows,
-        detailed_insts: info.detailed_insts,
-        total_insts: info.fast_forwarded_insts,
-        within_ci: (info.cpi.mean - full_cpi).abs() <= info.cpi.ci95,
-    }
-}
-
-/// Cold-vs-warm wall clock of one sampled run through the persistent
-/// checkpoint store.
-struct StoreProbe {
-    workload: &'static str,
-    /// Sampled run that populated the store (fast-forward + windows).
-    cold_wall_s: f64,
-    /// Sampled run that hit the store (load + windows, zero fast-forward).
-    warm_wall_s: f64,
-    /// Cold wall clock over warm wall clock.
-    speedup: f64,
-}
-
-/// Run one pinned workload sampled twice through a fresh store: the first
-/// pass is a miss and populates it, the second must be a warm hit,
-/// skipping the master functional pass, with bit-identical checkpoints and
-/// CPI. Both properties are asserted — the CI smoke relies on this.
-fn store_probe(workload: &'static str, params: SampledParams) -> StoreProbe {
-    let w = nda_workloads::by_name(workload).expect("pinned workload exists");
-    let prog = (w.build)(&nda_workloads::WorkloadParams {
-        seed: 1,
-        iters: PROBE_ITERS,
-    });
-    let dir = std::env::temp_dir().join(format!("nda-ckpt-throughput-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::open(&dir).expect("checkpoint store opens");
-    let cfg = SimConfig::for_variant(Variant::Ooo);
-
-    let t = Instant::now();
-    let (cold_set, cold_hit) =
-        collect_checkpoints_cached(Some(&store), &cfg, &prog, params, 2_000_000_000)
-            .expect("cold collection halts");
-    let cold_r = run_sampled_with(cfg, &prog, &cold_set, params).expect("cold windows run");
-    let cold_wall_s = t.elapsed().as_secs_f64();
-    assert!(!cold_hit, "{workload}: fresh store reported a warm hit");
-
-    let t = Instant::now();
-    let (warm_set, warm_hit) =
-        collect_checkpoints_cached(Some(&store), &cfg, &prog, params, 2_000_000_000)
-            .expect("warm collection loads");
-    let warm_r = run_sampled_with(cfg, &prog, &warm_set, params).expect("warm windows run");
-    let warm_wall_s = t.elapsed().as_secs_f64();
-    assert!(
-        warm_hit,
-        "{workload}: store missed on identical inputs — warm path must \
-         do zero fast-forward instructions"
-    );
-    assert_eq!(
-        cold_set, warm_set,
-        "{workload}: store round-trip changed the checkpoints"
-    );
-    let (ci, wi) = (
-        cold_r.sampled.expect("cold sampled info"),
-        warm_r.sampled.expect("warm sampled info"),
-    );
-    assert_eq!(
-        ci.cpi.mean.to_bits(),
-        wi.cpi.mean.to_bits(),
-        "{workload}: warm-store CPI diverged from cold"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    StoreProbe {
-        workload,
-        cold_wall_s,
-        warm_wall_s,
-        speedup: cold_wall_s / warm_wall_s.max(1e-12),
-    }
 }
 
 fn assert_bit_identical(a: &SweepResults, b: &SweepResults) {
@@ -321,86 +176,6 @@ fn main() {
         BASELINE_PRE_PR[0].1
     );
 
-    // Sampled vs full detail on the pinned workloads: the CPI agreement is
-    // a deterministic property of the simulator (both runs are seeded,
-    // host-independent computations), so it is asserted; the wall-clock
-    // speedup depends on the host and is recorded, not asserted.
-    //
-    // The probe widens the sampling interval to 100 k (from the 50 k
-    // default): at PROBE_ITERS the workloads still yield enough windows
-    // for a tight CI, and halving the detail fraction roughly doubles the
-    // measured speedup margin.
-    let sp = SampledParams::new(100_000, 2_000, 2_000);
-    let mut probe_lines = String::new();
-    for (i, name) in ["mcf", "gcc"].iter().enumerate() {
-        let p = sampled_probe(name, sp);
-        println!(
-            "sampled probe: {} full {:.2}s (CPI {:.3}), sampled {:.2}s ({:.1}x; \
-             ff {:.3}s + detail {:.3}s), CPI {:.3} ± {:.3} over {} windows \
-             ({} of {} insts detailed) — within CI: {}",
-            p.workload,
-            p.full_wall_s,
-            p.full_cpi,
-            p.sampled_wall_s,
-            p.speedup,
-            p.ff_wall_s,
-            p.detail_wall_s,
-            p.cpi_mean,
-            p.cpi_ci95,
-            p.windows,
-            p.detailed_insts,
-            p.total_insts,
-            p.within_ci
-        );
-        assert!(
-            p.within_ci,
-            "{}: sampled CPI {:.4} ± {:.4} excludes full-detail CPI {:.4}",
-            p.workload, p.cpi_mean, p.cpi_ci95, p.full_cpi
-        );
-        if i > 0 {
-            probe_lines.push_str(",\n");
-        }
-        probe_lines.push_str(&format!(
-            "      {{\"workload\": \"{}\", \"full_wall_s\": {:.3}, \"full_cpi\": {:.4}, \
-             \"sampled_wall_s\": {:.3}, \"ff_wall_s\": {:.3}, \"detail_wall_s\": {:.3}, \
-             \"speedup\": {:.2}, \"cpi_mean\": {:.4}, \
-             \"cpi_ci95\": {:.4}, \"windows\": {}, \"detailed_insts\": {}, \
-             \"total_insts\": {}, \"within_ci\": {}}}",
-            p.workload,
-            p.full_wall_s,
-            p.full_cpi,
-            p.sampled_wall_s,
-            p.ff_wall_s,
-            p.detail_wall_s,
-            p.speedup,
-            p.cpi_mean,
-            p.cpi_ci95,
-            p.windows,
-            p.detailed_insts,
-            p.total_insts,
-            p.within_ci
-        ));
-    }
-
-    // Cold-vs-warm checkpoint store: the warm run must hit (zero
-    // fast-forward) and be bit-identical; wall clocks quantify the win.
-    let mut store_lines = String::new();
-    for (i, name) in ["mcf", "gcc"].iter().enumerate() {
-        let p = store_probe(name, sp);
-        println!(
-            "store probe: {} cold {:.3}s, warm {:.3}s ({:.1}x) — warm hit, bit-identical",
-            p.workload, p.cold_wall_s, p.warm_wall_s, p.speedup
-        );
-        if i > 0 {
-            store_lines.push_str(",\n");
-        }
-        store_lines.push_str(&format!(
-            "      {{\"workload\": \"{}\", \"cold_wall_s\": {:.3}, \"warm_wall_s\": {:.3}, \
-             \"speedup\": {:.2}, \"warm_hit\": true, \"bit_identical\": true}}",
-            p.workload, p.cold_wall_s, p.warm_wall_s, p.speedup
-        ));
-    }
-
     let mut baseline = String::new();
     for &(k, x) in BASELINE_PRE_PR {
         baseline.push_str(&format!(",\n    \"{k}\": {x:.1}"));
@@ -408,7 +183,7 @@ fn main() {
     let caveat_json = speedup_caveat.map_or_else(|| "null".to_string(), |c| format!("\"{c}\""));
     let json = format!(
         "{{\n\
-         \x20 \"schema\": \"nda-bench-throughput-v3\",\n\
+         \x20 \"schema\": \"nda-bench-throughput-v4\",\n\
          \x20 \"params\": {{\"samples\": {}, \"iters\": {}, \"jobs\": {par_jobs}, \
          \"host_parallelism\": {host}}},\n\
          \x20 \"sweep_wall_s\": {{\"serial\": {serial_wall:.3}, \"parallel\": {parallel_wall:.3}, \
@@ -416,13 +191,10 @@ fn main() {
          \x20 \"single_thread\": {{\"workload\": \"mcf\", \"variant\": \"OoO\", \
          \"iters\": {PROBE_ITERS}, \"sim_cycles\": {probe_cycles}, \
          \"sim_cycles_per_sec\": {probe_cps:.1}}},\n\
-         \x20 \"sampled\": {{\n    \"params\": {{\"sample_every\": {}, \"warm_insts\": {}, \
-         \"detail_insts\": {}}},\n    \"probes\": [\n{probe_lines}\n    ]\n  }},\n\
-         \x20 \"checkpoint_store\": {{\n    \"probes\": [\n{store_lines}\n    ]\n  }},\n\
          \x20 \"variants\": [\n{variant_lines}\n  ],\n\
          \x20 \"baseline_pre_pr\": {{\n    \"commit\": \"{BASELINE_COMMIT}\"{baseline}\n  }}\n\
          }}\n",
-        cfg.samples, cfg.iters, sp.sample_every, sp.warm_insts, sp.detail_insts
+        cfg.samples, cfg.iters
     );
     let out = std::env::var("NDA_THROUGHPUT_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_throughput.json", env!("CARGO_MANIFEST_DIR")));

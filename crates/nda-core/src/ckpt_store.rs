@@ -16,7 +16,7 @@
 //! One entry per file, `<key:016x>.ckpt` under the store directory:
 //!
 //! ```text
-//! nda-ckpt-v1 <checksum:016x>\n       ASCII header line
+//! nda-ckpt-v2 <checksum:016x>\n       ASCII header line
 //! <key material, length-prefixed>     the exact bytes that were hashed
 //! <page pool>                         each distinct 4 KiB page, once
 //! <CheckpointSet encoding>            fixed little-endian layout
@@ -26,8 +26,21 @@
 //! verified byte-for-byte on load and a hash collision degrades to a
 //! cache miss instead of resurrecting the wrong workload's checkpoints.
 //! Geometry mismatches cannot hit either — the geometry is part of the
-//! key — and as defence in depth every `from_state` reconstruction
-//! validates shapes against the live configuration.
+//! key — and as defence in depth the decoder checks every snapshot
+//! against the live configuration.
+//!
+//! The magic opens the key material too, so an entry of an older format
+//! (`nda-ckpt-v1`, which stored every line and BTB entry of the geometry)
+//! sits under a different file name: it is never read, and the set is
+//! collected again, not quarantined.
+//!
+//! Each cache level and the BTB are stored sparsely, as their valid lines
+//! and entries with their set-major indices in ascending order (the
+//! [`CacheState`] and [`BtbState`] the checkpoint holds). A warmed 2 MiB
+//! L2 has a few hundred valid lines of 32 768, so an entry stores what
+//! the warm-up left behind, not the geometry. The decoder checks each
+//! count against the live geometry before allocating, and refuses
+//! indices that are out of range, repeated or not ascending.
 //!
 //! Consecutive checkpoints share almost all of their memory image (the
 //! interpreter's pages are `Arc` copy-on-write; an interval dirties a
@@ -49,8 +62,8 @@
 //!
 //! ## Size cap
 //!
-//! Checkpoint entries are large (one memory image each) and previously
-//! accumulated without bound across sweeps. A store opened with
+//! An entry is dominated by its page pool, about one memory image, and
+//! entries accumulate across sweeps. A store opened with
 //! [`CheckpointStore::with_max_bytes`] (the CLI wires `NDA_CKPT_MAX_BYTES`
 //! / `--checkpoint-gc` through to it) garbage-collects after every save:
 //! oldest-mtime entries are evicted until the total size of `*.ckpt`
@@ -66,14 +79,16 @@ use crate::config::SimConfig;
 use crate::run::SimError;
 use crate::sampled::{collect_checkpoints, Checkpoint, CheckpointSet, SampledParams};
 use nda_isa::{encode_program, Interp, InterpState, MsrFile, Program, SparseMem, PAGE_SIZE};
-use nda_mem::{CacheState, LineState, MemHier, MemHierState, MlpState, MshrState};
+use nda_mem::{
+    CacheConfig, CacheState, LineState, MemHierConfig, MemHierState, MlpState, MshrState,
+};
 use nda_predict::ras::RAS_ENTRIES;
 use nda_predict::{
-    Btb, BtbEntryState, BtbState, DirPredictor, DirPredictorState, GshareState, PredictorKind, Ras,
-    RasState, TournamentState,
+    BtbConfig, BtbEntryState, BtbState, DirPredictor, DirPredictorState, GshareState,
+    PredictorKind, Ras, RasState, TournamentState,
 };
 
-const MAGIC: &str = "nda-ckpt-v1";
+const MAGIC: &str = "nda-ckpt-v2";
 const NUM_REGS: usize = nda_isa::reg::NUM_REGS;
 
 /// A content-deduplicated pool of memory pages shared by every
@@ -164,8 +179,8 @@ fn dec_interp(d: &mut Dec, pool: &[Arc<[u8; PAGE_SIZE]>]) -> Option<InterpState>
 fn enc_cache(e: &mut Enc, s: &CacheState) {
     e.usize(s.lines.len());
     for line in &s.lines {
+        e.usize(line.index);
         e.u64(line.tag);
-        e.bool(line.valid);
         e.u64(line.last_use);
     }
     e.u64(s.tick);
@@ -173,13 +188,20 @@ fn enc_cache(e: &mut Enc, s: &CacheState) {
     e.u64(s.stats.misses);
 }
 
-fn dec_cache(d: &mut Dec) -> Option<CacheState> {
+/// Decode one cache level of geometry `cfg`. The line count is checked
+/// against the level's capacity before anything is allocated; the
+/// indices and stamps are checked by [`MemHierState::fits`] in
+/// [`dec_hier`].
+fn dec_cache(d: &mut Dec, cfg: CacheConfig) -> Option<CacheState> {
     let n = d.usize()?;
-    let mut lines = Vec::with_capacity(n.min(1 << 24));
+    if n > cfg.sets() * cfg.ways {
+        return None;
+    }
+    let mut lines = Vec::with_capacity(n);
     for _ in 0..n {
         lines.push(LineState {
+            index: d.usize()?,
             tag: d.u64()?,
-            valid: d.bool()?,
             last_use: d.u64()?,
         });
     }
@@ -226,11 +248,14 @@ fn enc_hier(e: &mut Enc, s: &MemHierState) {
     e.u64(s.extra_latency);
 }
 
-fn dec_hier(d: &mut Dec) -> Option<MemHierState> {
-    Some(MemHierState {
-        l1i: dec_cache(d)?,
-        l1d: dec_cache(d)?,
-        l2: dec_cache(d)?,
+/// Decode a hierarchy snapshot and check that it fits `cfg`: line
+/// indices in range, unrepeated and ascending, and no more MSHR fills than
+/// MSHRs.
+fn dec_hier(d: &mut Dec, cfg: MemHierConfig) -> Option<MemHierState> {
+    let state = MemHierState {
+        l1i: dec_cache(d, cfg.l1i)?,
+        l1d: dec_cache(d, cfg.l1d)?,
+        l2: dec_cache(d, cfg.l2)?,
         mshr: MshrState {
             in_flight: dec_pairs(d)?,
             peak: d.usize()?,
@@ -247,7 +272,8 @@ fn dec_hier(d: &mut Dec) -> Option<MemHierState> {
         prefetches: d.u64()?,
         pending_fills: dec_pairs(d)?,
         extra_latency: d.u64()?,
-    })
+    };
+    state.fits(cfg).then_some(state)
 }
 
 fn enc_gshare(e: &mut Enc, s: &GshareState) {
@@ -301,29 +327,35 @@ fn dec_dir(d: &mut Dec) -> Option<DirPredictorState> {
 fn enc_btb(e: &mut Enc, s: &BtbState) {
     e.usize(s.entries.len());
     for entry in &s.entries {
+        e.usize(entry.index);
         e.u64(entry.tag);
         e.usize(entry.target);
-        e.bool(entry.valid);
     }
     e.u64(s.lookups);
     e.u64(s.hits);
 }
 
-fn dec_btb(d: &mut Dec) -> Option<BtbState> {
+/// Decode a BTB snapshot of configuration `cfg`: the entry count is
+/// checked before allocating, the indices by [`BtbState::fits`].
+fn dec_btb(d: &mut Dec, cfg: BtbConfig) -> Option<BtbState> {
     let n = d.usize()?;
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    if n > cfg.entries {
+        return None;
+    }
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(BtbEntryState {
+            index: d.usize()?,
             tag: d.u64()?,
             target: d.usize()?,
-            valid: d.bool()?,
         });
     }
-    Some(BtbState {
+    let state = BtbState {
         entries,
         lookups: d.u64()?,
         hits: d.u64()?,
-    })
+    };
+    state.fits(cfg).then_some(state)
 }
 
 fn enc_ras(e: &mut Enc, s: &RasState) {
@@ -373,9 +405,9 @@ fn encode_set(e: &mut Enc, set: &CheckpointSet) {
     e.usize(set.checkpoints.len());
     for (k, ckpt) in set.checkpoints.iter().enumerate() {
         enc_interp(e, &states[k], &refs[k]);
-        enc_hier(e, &ckpt.hier.dump_state());
+        enc_hier(e, &ckpt.hier);
         enc_dir(e, &ckpt.dir.dump_state());
-        enc_btb(e, &ckpt.btb.dump_state());
+        enc_btb(e, &ckpt.btb);
         enc_ras(e, &ckpt.ras.dump_state());
         e.u64(ckpt.ff_insts);
     }
@@ -394,12 +426,14 @@ fn decode_set(d: &mut Dec, cfg: &SimConfig, program: &Program) -> Option<Checkpo
         pool.push(Arc::new(bytes));
     }
     let n = d.usize()?;
-    let mut checkpoints = Vec::with_capacity(n.min(1 << 20));
+    // A checkpoint is about a kilobyte in memory: cap the reservation a
+    // corrupt count can ask for, and let a real set grow past it.
+    let mut checkpoints = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
         let interp = Interp::from_state(program, dec_interp(d, &pool)?);
-        let hier = MemHier::from_state(cfg.mem, &dec_hier(d)?)?;
+        let hier = dec_hier(d, cfg.mem)?;
         let dir = DirPredictor::from_state(cfg.core.predictor_kind, cfg.core.gshare, &dec_dir(d)?)?;
-        let btb = Btb::from_state(cfg.core.btb, &dec_btb(d)?)?;
+        let btb = dec_btb(d, cfg.core.btb)?;
         let ras = Ras::from_state(&dec_ras(d)?)?;
         let ff_insts = d.u64()?;
         checkpoints.push(Checkpoint {
@@ -664,6 +698,104 @@ mod tests {
         assert!(hit);
         assert_eq!(cold, warm);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Write an entry for `store_program` whose body `body` encodes, with a
+    /// valid frame and checksum, and load it: it must be a miss, and the
+    /// entry must have moved to `quarantine/`.
+    fn assert_body_is_quarantined(tag: &str, body: impl FnOnce(&mut Enc, &CheckpointSet)) {
+        let dir = std::env::temp_dir().join(format!("nda-ckpt-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let p = store_program();
+        let cfg = SimConfig::ooo();
+        let params = SampledParams::new(100, 20, 20);
+        let set = collect_checkpoints(&cfg, &p, params, u64::MAX).unwrap();
+        let key = StoreKey::new(&cfg, &p, params);
+        store
+            .blobs
+            .put(&key.filename(), &key.material, |e| body(e, &set))
+            .unwrap();
+        assert_eq!(store.load(&key, &cfg, &p), None, "{tag}: must miss");
+        assert!(
+            dir.join("quarantine").join(key.filename()).exists(),
+            "{tag}: must be quarantined"
+        );
+        assert!(!store.entry_path(&key).exists(), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// BTB entries at `indices`.
+    fn entries(indices: &[usize]) -> impl Iterator<Item = BtbEntryState> + '_ {
+        indices.iter().map(|&index| BtbEntryState {
+            index,
+            tag: 0,
+            target: 0,
+        })
+    }
+
+    /// Makes a checkpoint describe a state no cache or BTB of the
+    /// configuration can be in.
+    type Corruption = fn(&mut Checkpoint, &SimConfig);
+
+    #[test]
+    fn sparse_states_that_cannot_exist_are_quarantined() {
+        let cfg = SimConfig::ooo();
+        let cases: [(&str, Corruption); 6] = [
+            ("l2-index-out-of-range", |c, cfg| {
+                c.hier.l2.lines.push(LineState {
+                    index: cfg.mem.l2.sets() * cfg.mem.l2.ways,
+                    tag: 0,
+                    last_use: 1,
+                });
+            }),
+            ("l1d-index-repeated", |c, _| {
+                let last = *c.hier.l1d.lines.last().expect("a warmed L1D line");
+                c.hier.l1d.lines.push(last);
+            }),
+            ("l2-indices-descending", |c, _| {
+                assert!(c.hier.l2.lines.len() >= 2, "two warmed L2 lines");
+                c.hier.l2.lines.reverse();
+            }),
+            ("btb-index-out-of-range", |c, cfg| {
+                c.btb.entries.extend(entries(&[cfg.core.btb.entries]));
+            }),
+            ("btb-index-repeated", |c, _| {
+                c.btb.entries.extend(entries(&[7, 7]));
+            }),
+            ("btb-indices-descending", |c, _| {
+                c.btb.entries.extend(entries(&[9, 3]));
+            }),
+        ];
+        for (tag, corrupt) in cases {
+            assert_body_is_quarantined(tag, |e, set| {
+                let mut bad = set.clone();
+                let last = bad.checkpoints.last_mut().expect("checkpoints");
+                corrupt(last, &cfg);
+                encode_set(e, &bad);
+            });
+        }
+    }
+
+    #[test]
+    fn line_and_entry_counts_beyond_the_geometry_are_quarantined() {
+        // Counts no geometry holds, followed by nothing: the decoder must
+        // refuse them before reserving memory for them (24 TiB each).
+        assert_body_is_quarantined("l1i-count", |e, set| {
+            e.usize(0); // empty page pool
+            e.usize(1);
+            enc_interp(e, &set.checkpoints[0].interp.dump_state(), &[]);
+            e.usize(1 << 40);
+        });
+        assert_body_is_quarantined("btb-count", |e, set| {
+            let c = &set.checkpoints[0];
+            e.usize(0);
+            e.usize(1);
+            enc_interp(e, &c.interp.dump_state(), &[]);
+            enc_hier(e, &c.hier);
+            enc_dir(e, &c.dir.dump_state());
+            e.usize(1 << 40);
+        });
     }
 
     #[test]

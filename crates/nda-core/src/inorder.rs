@@ -10,7 +10,7 @@ use crate::config::SimConfig;
 use crate::run::{RunResult, SimError};
 use nda_isa::inst::{Src2, UopClass};
 use nda_isa::{Fault, Inst, MsrFile, PrivilegeMap, Program, Reg, SparseMem};
-use nda_mem::MemHier;
+use nda_mem::{MemHier, MemHierState};
 use nda_stats::{CpiClass, SimStats};
 
 /// The in-order core. Construct with [`InOrderCore::new`], drive with
@@ -302,14 +302,16 @@ impl InOrderCore {
     }
 
     /// Load architectural state and a warmed cache hierarchy from a
-    /// sampled-simulation checkpoint (see [`crate::sampled`]). The blocking
+    /// sampled-simulation checkpoint (see [`crate::sampled`]). The warmed
+    /// lines are written into the core's own cold hierarchy. The blocking
     /// core has no predictors, so the checkpoint's predictor state does not
     /// apply.
     ///
     /// # Panics
     ///
-    /// Panics unless the core is freshly constructed (cycle 0).
-    pub fn restore_checkpoint(&mut self, interp: &nda_isa::Interp, hier: &MemHier) {
+    /// Panics unless the core is freshly constructed (cycle 0), or if the
+    /// snapshot does not fit the core's cache geometry.
+    pub fn restore_checkpoint(&mut self, interp: &nda_isa::Interp, hier: &MemHierState) {
         assert!(
             self.cycle == 0 && self.stats.committed_insts == 0,
             "checkpoint restore requires a freshly constructed core"
@@ -318,7 +320,8 @@ impl InOrderCore {
         self.pc = interp.pc();
         self.mem = interp.mem.clone();
         self.msrs = interp.msrs.clone();
-        self.hier = hier.clone();
+        let fits = self.hier.restore_state(hier);
+        assert!(fits, "checkpoint does not fit the core's cache geometry");
         self.halted = interp.halted();
         self.last_line = None;
     }

@@ -30,8 +30,8 @@ use crate::run::{RunResult, SimError};
 use crate::snapshot::{HeadInfo, HeadWait, PipelineSnapshot};
 use nda_isa::inst::{Src2, UopClass};
 use nda_isa::{Fault, Inst, Interp, MsrFile, PrivilegeMap, Program, SparseMem};
-use nda_mem::MemHier;
-use nda_predict::{Btb, DirPredictor};
+use nda_mem::{MemHier, MemHierState};
+use nda_predict::{Btb, BtbState, DirPredictor};
 use nda_stats::{CpiClass, SimStats};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -515,22 +515,26 @@ impl OooCore {
     /// sampled-simulation checkpoint (see [`crate::sampled`]).
     ///
     /// The architectural registers are written through the identity rename
-    /// map, memory/MSRs are cloned from the interpreter, and the warmed
-    /// cache hierarchy, direction predictor, BTB and RAS replace the cold
-    /// ones. When the invariant checker is on, the commit-time oracle is
-    /// re-seeded from the same interpreter so lockstep checking continues
-    /// to work mid-program.
+    /// map, memory/MSRs are cloned from the interpreter (page sharing makes
+    /// that cheap), the warmed lines and BTB entries are written into the
+    /// core's own cold hierarchy and BTB — nothing of the size of a cache
+    /// array is cloned or allocated — and the direction predictor and RAS
+    /// replace the cold ones. When the invariant checker is on, the
+    /// commit-time oracle is re-seeded from the same interpreter so
+    /// lockstep checking continues to work mid-program.
     ///
     /// # Panics
     ///
     /// Panics unless the core is freshly constructed (cycle 0, empty
     /// pipeline): restoring into a live pipeline would corrupt renaming.
+    /// Panics too if the snapshots do not fit the core's cache or BTB
+    /// geometry.
     pub fn restore_checkpoint(
         &mut self,
         interp: &Interp,
-        hier: &MemHier,
+        hier: &MemHierState,
         dir: &DirPredictor,
-        btb: &nda_predict::Btb,
+        btb: &BtbState,
         ras: &nda_predict::Ras,
     ) {
         assert!(
@@ -544,10 +548,13 @@ impl OooCore {
         }
         self.mem = interp.mem.clone();
         self.msrs = interp.msrs.clone();
-        self.hier = hier.clone();
+        let fits = self.hier.restore_state(hier) && self.fe.btb.restore_state(btb);
+        assert!(
+            fits,
+            "checkpoint does not fit the core's cache or BTB geometry"
+        );
         self.fe.fetch_pc = interp.pc();
         self.fe.dir = dir.clone();
-        self.fe.btb = btb.clone();
         self.fe.ras = ras.clone();
         self.halted = interp.halted();
         if self.oracle.is_some() {

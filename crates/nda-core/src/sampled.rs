@@ -43,8 +43,8 @@ use crate::inorder::InOrderCore;
 use crate::ooo::core::OooCore;
 use crate::run::{RunResult, SampledInfo, SimError};
 use nda_isa::{ExecHooks, Inst, Interp, InterpError, Program, StepInfo, TranslatedProgram};
-use nda_mem::MemHier;
-use nda_predict::{Btb, DirPredictor, Ras};
+use nda_mem::{MemHier, MemHierState};
+use nda_predict::{Btb, BtbState, DirPredictor, Ras};
 use nda_stats::{Sample, SimStats};
 
 /// The U/W/D schedule of a sampled run.
@@ -95,18 +95,21 @@ impl Default for SampledParams {
 /// Everything needed to seed a detailed window on *any* variant: the
 /// interpreter carries registers, PC, memory and MSRs; the hierarchy
 /// carries warmed cache tags/LRU; the predictor trio carries trained
-/// direction/target/return state. `PartialEq` compares the whole chain so
-/// round-trip tests can assert bit-exactness directly.
+/// direction/target/return state. The hierarchy and the BTB are held as
+/// sparse snapshots — their valid lines and entries only — and each
+/// window's restore writes them into its own fresh core. `PartialEq`
+/// compares the whole chain so round-trip tests can assert bit-exactness
+/// directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The reference interpreter at the sample point (architectural state).
     pub interp: Interp,
     /// Functionally warmed cache hierarchy.
-    pub hier: MemHier,
+    pub hier: MemHierState,
     /// Functionally trained direction predictor.
     pub dir: DirPredictor,
     /// Functionally trained branch target buffer.
-    pub btb: Btb,
+    pub btb: BtbState,
     /// Functionally maintained return address stack.
     pub ras: Ras,
     /// Instructions retired when the checkpoint was taken.
@@ -319,9 +322,9 @@ pub fn collect_checkpoints_with(
         if checkpoints.len() < params.max_windows {
             checkpoints.push(Checkpoint {
                 interp: interp.clone(),
-                hier: warmer.hier.clone(),
+                hier: warmer.hier.dump_state(),
                 dir: warmer.dir.clone(),
-                btb: warmer.btb.clone(),
+                btb: warmer.btb.dump_state(),
                 ras: warmer.ras.clone(),
                 ff_insts: interp.retired(),
             });

@@ -7,7 +7,8 @@
 //! sampled CPIs measured from them are identical to the last bit.
 
 use nda_core::{
-    collect_checkpoints_with, run_sampled_with, FfEngine, SampledParams, SimConfig, Variant,
+    collect_checkpoints_with, run_sampled_with, CheckpointStore, FfEngine, SampledParams,
+    SimConfig, StoreKey, Variant,
 };
 use nda_isa::genprog::{generate, GenConfig};
 use nda_isa::Program;
@@ -101,4 +102,47 @@ fn sampled_cpi_is_bit_identical_with_fast_path_on_and_off() {
         assert_eq!(a.stats, b.stats, "{variant:?}: estimated stats diverged");
         assert_eq!(a.regs, b.regs, "{variant:?}");
     }
+}
+
+/// The sets the sampled path restores come from the store as often as
+/// from collection: on every workload and on fuzz programs, a set the
+/// translated engine collected decodes from its `nda-ckpt-v2` entry equal
+/// to the set the reference engine collected.
+#[test]
+fn decoded_sets_equal_collected_sets() {
+    let dir = std::env::temp_dir().join(format!("nda-translated-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let cfg = SimConfig::for_variant(Variant::Ooo);
+    let workloads = all().iter().map(|w| {
+        let prog = (w.build)(&WorkloadParams {
+            seed: 1234,
+            iters: 300,
+        });
+        (
+            w.name.to_string(),
+            prog,
+            SampledParams::new(5_000, 200, 200),
+        )
+    });
+    let fuzz = (0..4u64).map(|seed| {
+        let prog = generate(seed, GenConfig::default());
+        (
+            format!("genprog seed {seed}"),
+            prog,
+            SampledParams::new(1_000, 100, 100),
+        )
+    });
+    for (ctx, prog, params) in workloads.chain(fuzz) {
+        let fast = collect_checkpoints_with(&cfg, &prog, params, u64::MAX, FfEngine::Translated)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let key = StoreKey::new(&cfg, &prog, params);
+        store.save(&key, &fast).unwrap();
+        let decoded = store.load(&key, &cfg, &prog).expect("a sound entry hits");
+        let reference =
+            collect_checkpoints_with(&cfg, &prog, params, u64::MAX, FfEngine::Reference).unwrap();
+        assert!(decoded == reference, "{ctx}: decoded set differs");
+    }
+    assert!(!dir.join("quarantine").exists());
+    let _ = std::fs::remove_dir_all(&dir);
 }

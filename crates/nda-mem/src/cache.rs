@@ -53,31 +53,49 @@ struct Line {
     last_use: u64,
 }
 
-/// Exact snapshot of one cache line, with public fields so the persistent
-/// checkpoint store (in `nda-core`) can encode it without this crate
-/// depending on any serialization machinery.
+/// One valid line of a [`CacheState`], with public fields so the
+/// persistent checkpoint store (in `nda-core`) can encode it without this
+/// crate depending on any serialization machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LineState {
+    /// Set-major position of the line (`set * ways + way`).
+    pub index: usize,
     /// Line tag (line index; the set mapping is re-derived from geometry).
     pub tag: u64,
-    /// Whether the line is valid.
-    pub valid: bool,
     /// LRU use stamp.
     pub last_use: u64,
 }
 
-/// Exact snapshot of a [`SetAssocCache`] (tags, LRU stamps, tick, stats).
-/// Produced by [`SetAssocCache::dump_state`]; restoring through
-/// [`SetAssocCache::from_state`] with the same geometry yields a cache that
-/// compares equal to the original.
+/// Exact, sparse snapshot of a [`SetAssocCache`]: the valid lines only,
+/// plus the LRU tick and stats. An invalid line is always the empty line,
+/// so nothing else needs recording. Produced by
+/// [`SetAssocCache::dump_state`]; [`SetAssocCache::from_state`] with the
+/// same geometry yields a cache that compares equal to the original.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheState {
-    /// All lines in set-major order (`set * ways + way`).
+    /// The valid lines, in ascending [`LineState::index`] order.
     pub lines: Vec<LineState>,
     /// Monotonic LRU tick.
     pub tick: u64,
     /// Accumulated hit/miss counters.
     pub stats: CacheStats,
+}
+
+impl CacheState {
+    /// `true` when this snapshot can describe a cache of geometry `cfg`:
+    /// at most one entry per line, indices strictly ascending and in
+    /// range, and every use stamp in `1..=tick` (a valid line is always
+    /// stamped by the access that filled it, so a snapshot with `tick`
+    /// zero holds no lines).
+    pub fn fits(&self, cfg: CacheConfig) -> bool {
+        let capacity = cfg.sets() * cfg.ways;
+        let mut next = 0;
+        self.lines.iter().all(|l| {
+            let ok = (next..capacity).contains(&l.index) && (1..=self.tick).contains(&l.last_use);
+            next = l.index.saturating_add(1);
+            ok
+        })
+    }
 }
 
 /// A set-associative, true-LRU tag store.
@@ -90,9 +108,9 @@ pub struct CacheState {
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// All lines in one flat allocation; set `s` occupies
-    /// `s*ways .. (s+1)*ways`. Keeps a clone — taken per checkpoint and
-    /// per detailed window in sampled simulation — one `memcpy` instead
-    /// of one heap allocation per set (a 2 MiB L2 has 2048 sets).
+    /// `s*ways .. (s+1)*ways`. One allocation instead of one per set (a
+    /// 2 MiB L2 has 2048 sets), and a set-major index names each line in
+    /// a [`CacheState`].
     lines: Vec<Line>,
     num_sets: usize,
     tick: u64,
@@ -223,33 +241,36 @@ impl SetAssocCache {
         self.contains(addr)
     }
 
-    /// Invalidate the line containing `addr` (used by `clflush`).
+    /// Invalidate the line containing `addr` (used by `clflush`). The
+    /// way becomes the empty line, so an invalid line never carries a
+    /// stale tag or stamp and [`Self::dump_state`] stays exact.
     pub fn invalidate(&mut self, addr: u64) {
         let (set, tag) = self.split(addr);
         let ways = self.cfg.ways;
         for l in &mut self.lines[set * ways..][..ways] {
             if l.valid && l.tag == tag {
-                l.valid = false;
+                *l = Line::default();
             }
         }
     }
 
     /// Drop every line (used between sampling intervals).
     pub fn invalidate_all(&mut self) {
-        for l in &mut self.lines {
-            l.valid = false;
-        }
+        self.lines.fill(Line::default());
     }
 
-    /// Snapshot the full replacement state. See [`CacheState`].
+    /// Snapshot the replacement state: the valid lines, the tick and the
+    /// stats. See [`CacheState`].
     pub fn dump_state(&self) -> CacheState {
         CacheState {
             lines: self
                 .lines
                 .iter()
-                .map(|l| LineState {
+                .enumerate()
+                .filter(|(_, l)| l.valid)
+                .map(|(index, l)| LineState {
+                    index,
                     tag: l.tag,
-                    valid: l.valid,
                     last_use: l.last_use,
                 })
                 .collect(),
@@ -258,25 +279,40 @@ impl SetAssocCache {
         }
     }
 
-    /// Rebuild a cache from a [`SetAssocCache::dump_state`] snapshot.
-    /// Returns `None` when the snapshot's line count does not match the
-    /// geometry of `cfg` — the checkpoint store uses this to refuse entries
-    /// taken under a different hierarchy configuration.
-    pub fn from_state(cfg: CacheConfig, state: &CacheState) -> Option<SetAssocCache> {
-        let mut cache = SetAssocCache::new(cfg);
-        if state.lines.len() != cache.lines.len() {
-            return None;
+    /// Load a [`SetAssocCache::dump_state`] snapshot into this cache,
+    /// replacing its contents. Returns `false`, and changes nothing, when
+    /// the snapshot does not [fit](CacheState::fits) this geometry.
+    ///
+    /// Writes only the snapshot's lines: a cache that was never filled
+    /// (tick 0, as built by [`Self::new`]) holds only empty lines, so the
+    /// rest of its array is neither written nor read. A used cache is
+    /// emptied first.
+    pub fn restore_state(&mut self, state: &CacheState) -> bool {
+        if !state.fits(self.cfg) {
+            return false;
         }
-        for (l, s) in cache.lines.iter_mut().zip(&state.lines) {
-            *l = Line {
-                tag: s.tag,
-                valid: s.valid,
-                last_use: s.last_use,
+        if self.tick != 0 {
+            self.invalidate_all();
+        }
+        for l in &state.lines {
+            self.lines[l.index] = Line {
+                tag: l.tag,
+                valid: true,
+                last_use: l.last_use,
             };
         }
-        cache.tick = state.tick;
-        cache.stats = state.stats;
-        Some(cache)
+        self.tick = state.tick;
+        self.stats = state.stats;
+        true
+    }
+
+    /// Rebuild a cache from a [`SetAssocCache::dump_state`] snapshot.
+    /// Returns `None` when the snapshot does not fit the geometry of
+    /// `cfg` — the checkpoint store uses this to refuse entries taken
+    /// under a different hierarchy configuration.
+    pub fn from_state(cfg: CacheConfig, state: &CacheState) -> Option<SetAssocCache> {
+        let mut cache = SetAssocCache::new(cfg);
+        cache.restore_state(state).then_some(cache)
     }
 }
 
@@ -355,6 +391,60 @@ mod tests {
         c.invalidate_all();
         assert!(!c.contains(0x0));
         assert!(!c.contains(0x40));
+    }
+
+    #[test]
+    fn dump_after_clflush_round_trips_to_an_equal_cache() {
+        let mut c = tiny();
+        for a in [0x000, 0x040, 0x080, 0x0c0] {
+            c.access(a);
+        }
+        c.invalidate(0x040);
+        let state = c.dump_state();
+        assert_eq!(state.lines.len(), 3, "only the valid lines are kept");
+        assert!(state.lines.windows(2).all(|w| w[0].index < w[1].index));
+        assert_eq!(SetAssocCache::from_state(c.config(), &state), Some(c));
+    }
+
+    #[test]
+    fn restore_into_a_used_cache_replaces_its_lines() {
+        let mut src = tiny();
+        src.access(0x000);
+        let mut dst = tiny();
+        dst.access(0x040);
+        dst.access(0x080);
+        assert!(dst.restore_state(&src.dump_state()));
+        assert_eq!(dst, src);
+    }
+
+    #[test]
+    fn snapshots_that_do_not_fit_are_refused() {
+        let mut c = tiny();
+        c.access(0x000);
+        c.access(0x040);
+        let good = c.dump_state();
+        let line = |index, last_use| LineState {
+            index,
+            tag: 0,
+            last_use,
+        };
+        let cases = [
+            vec![line(4, 1)],             // out of range (4 lines)
+            vec![line(2, 1), line(2, 2)], // repeated
+            vec![line(2, 1), line(0, 2)], // descending
+            vec![line(0, 0)],             // never stamped
+            vec![line(0, good.tick + 1)], // stamped after the tick
+        ];
+        for lines in cases {
+            let bad = CacheState {
+                lines: lines.clone(),
+                ..good.clone()
+            };
+            let mut d = c.clone();
+            assert!(!d.restore_state(&bad), "{lines:?}");
+            assert_eq!(d, c, "a refused snapshot must change nothing");
+            assert!(SetAssocCache::from_state(c.config(), &bad).is_none());
+        }
     }
 
     #[test]

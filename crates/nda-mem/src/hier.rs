@@ -398,30 +398,47 @@ impl MemHier {
         }
     }
 
+    /// Load a [`MemHier::dump_state`] snapshot into this hierarchy,
+    /// replacing its state but keeping its configuration. Returns `false`,
+    /// and changes nothing, when the snapshot does not
+    /// [fit](MemHierState::fits) the configuration.
+    ///
+    /// Only the snapshot's valid lines are written, so restoring into a
+    /// freshly built hierarchy costs in proportion to the warm state, not
+    /// to the cache sizes (see [`SetAssocCache::restore_state`]).
+    pub fn restore_state(&mut self, state: &MemHierState) -> bool {
+        if !state.fits(self.cfg) {
+            return false;
+        }
+        let Some(mshr) = MshrFile::from_state(self.cfg.mshrs, &state.mshr) else {
+            return false;
+        };
+        // The snapshot fits, so none of the cache restores can refuse.
+        self.l1i.restore_state(&state.l1i);
+        self.l1d.restore_state(&state.l1d);
+        self.l2.restore_state(&state.l2);
+        self.mshr = mshr;
+        self.mlp = MlpTracker::from_state(&state.mlp);
+        self.dram_accesses = state.dram_accesses;
+        self.prefetches = state.prefetches;
+        self.pending_fills.clone_from(&state.pending_fills);
+        self.extra_latency = state.extra_latency;
+        true
+    }
+
     /// Rebuild a hierarchy from a [`MemHier::dump_state`] snapshot taken
     /// under the same configuration. Returns `None` when any component's
-    /// snapshot does not fit `cfg`'s geometry — the checkpoint store uses
-    /// this as a second line of defence behind its configuration key.
+    /// snapshot does not fit `cfg`'s geometry.
     pub fn from_state(cfg: MemHierConfig, state: &MemHierState) -> Option<MemHier> {
-        Some(MemHier {
-            l1i: SetAssocCache::from_state(cfg.l1i, &state.l1i)?,
-            l1d: SetAssocCache::from_state(cfg.l1d, &state.l1d)?,
-            l2: SetAssocCache::from_state(cfg.l2, &state.l2)?,
-            mshr: MshrFile::from_state(cfg.mshrs, &state.mshr)?,
-            mlp: MlpTracker::from_state(&state.mlp),
-            dram_accesses: state.dram_accesses,
-            prefetches: state.prefetches,
-            pending_fills: state.pending_fills.clone(),
-            extra_latency: state.extra_latency,
-            cfg,
-        })
+        let mut hier = MemHier::new(cfg);
+        hier.restore_state(state).then_some(hier)
     }
 }
 
 /// Exact snapshot of a [`MemHier`], detached from its configuration (the
 /// configuration is part of the checkpoint-store key, so only mutable state
-/// travels with each entry). All fields are integers — no float rounding
-/// can occur on a round trip.
+/// travels with each entry). The caches are sparse [`CacheState`]s. All
+/// fields are integers — no float rounding can occur on a round trip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemHierState {
     /// L1I tag/LRU state.
@@ -442,6 +459,18 @@ pub struct MemHierState {
     pub pending_fills: Vec<(u64, u64)>,
     /// Fault-injection latency knob (normally zero).
     pub extra_latency: u64,
+}
+
+impl MemHierState {
+    /// `true` when this snapshot can describe a hierarchy configured by
+    /// `cfg`: each cache [fits](CacheState::fits) its level, and the MSHR
+    /// file holds no more fills than `cfg` has MSHRs.
+    pub fn fits(&self, cfg: MemHierConfig) -> bool {
+        self.l1i.fits(cfg.l1i)
+            && self.l1d.fits(cfg.l1d)
+            && self.l2.fits(cfg.l2)
+            && self.mshr.in_flight.len() <= cfg.mshrs
+    }
 }
 
 #[cfg(test)]
@@ -604,6 +633,32 @@ mod tests {
                 "presence diverged at {a:#x}"
             );
         }
+    }
+
+    #[test]
+    fn dump_after_flush_round_trips_to_an_equal_hierarchy() {
+        let mut h = MemHier::new(MemHierConfig::tiny());
+        for a in [0x0, 0x40, 0x1000, 0x2040] {
+            h.warm_touch_data(a);
+        }
+        h.warm_touch_inst(0x40_0000);
+        h.access_data(0x8000, 0).unwrap(); // leaves an MSHR and a pending fill
+        h.flush_line(0x40);
+        h.flush_line(0x40_0000);
+        let state = h.dump_state();
+        assert_eq!(MemHier::from_state(h.config(), &state), Some(h.clone()));
+
+        // Restoring into a fresh hierarchy of the same configuration is
+        // the same thing.
+        let mut fresh = MemHier::new(h.config());
+        assert!(fresh.restore_state(&state));
+        assert_eq!(fresh, h);
+
+        // A geometry with too few lines refuses the snapshot.
+        let mut other = MemHierConfig::tiny();
+        other.l2.size_bytes = 128; // one set of two ways; three lines are valid
+        assert!(!state.fits(other));
+        assert!(MemHier::from_state(other, &state).is_none());
     }
 
     #[test]

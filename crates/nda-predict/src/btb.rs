@@ -32,7 +32,7 @@ impl Default for BtbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Entry {
     tag: u64,
     target: usize,
@@ -60,14 +60,7 @@ impl Btb {
             "btb entries must be a power of two"
         );
         Btb {
-            entries: vec![
-                Entry {
-                    tag: 0,
-                    target: 0,
-                    valid: false
-                };
-                cfg.entries
-            ],
+            entries: vec![Entry::default(); cfg.entries],
             cfg,
             lookups: 0,
             hits: 0,
@@ -120,17 +113,19 @@ impl Btb {
         (self.lookups, self.hits)
     }
 
-    /// Snapshot the full BTB state, including the lookup/hit counters
+    /// Snapshot the BTB: its valid entries and the lookup/hit counters
     /// (they participate in equality). See [`BtbState`].
     pub fn dump_state(&self) -> BtbState {
         BtbState {
             entries: self
                 .entries
                 .iter()
-                .map(|e| BtbEntryState {
+                .enumerate()
+                .filter(|(_, e)| e.valid)
+                .map(|(index, e)| BtbEntryState {
+                    index,
                     tag: e.tag,
                     target: e.target,
-                    valid: e.valid,
                 })
                 .collect(),
             lookups: self.lookups,
@@ -138,49 +133,72 @@ impl Btb {
         }
     }
 
+    /// Load a [`Btb::dump_state`] snapshot into this BTB, replacing its
+    /// contents but keeping its configuration. Returns `false`, and
+    /// changes nothing, when the snapshot does not
+    /// [fit](BtbState::fits) the configuration.
+    pub fn restore_state(&mut self, state: &BtbState) -> bool {
+        if !state.fits(self.cfg) {
+            return false;
+        }
+        self.entries.fill(Entry::default());
+        for e in &state.entries {
+            self.entries[e.index] = Entry {
+                tag: e.tag,
+                target: e.target,
+                valid: true,
+            };
+        }
+        self.lookups = state.lookups;
+        self.hits = state.hits;
+        true
+    }
+
     /// Rebuild a BTB from a [`Btb::dump_state`] snapshot. Returns `None`
-    /// when the snapshot's entry count does not match `cfg`.
+    /// when the snapshot does not fit `cfg`.
     pub fn from_state(cfg: BtbConfig, state: &BtbState) -> Option<Btb> {
-        if !cfg.entries.is_power_of_two() || state.entries.len() != cfg.entries {
+        if !cfg.entries.is_power_of_two() {
             return None;
         }
-        Some(Btb {
-            cfg,
-            entries: state
-                .entries
-                .iter()
-                .map(|e| Entry {
-                    tag: e.tag,
-                    target: e.target,
-                    valid: e.valid,
-                })
-                .collect(),
-            lookups: state.lookups,
-            hits: state.hits,
-        })
+        let mut btb = Btb::new(cfg);
+        btb.restore_state(state).then_some(btb)
     }
 }
 
-/// Exact snapshot of one [`Btb`] entry.
+/// One valid entry of a [`BtbState`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtbEntryState {
+    /// Position of the entry in the table.
+    pub index: usize,
     /// Entry tag (upper PC bits).
     pub tag: u64,
     /// Cached target (instruction index).
     pub target: usize,
-    /// Whether the entry is populated.
-    pub valid: bool,
 }
 
-/// Exact snapshot of a [`Btb`].
+/// Exact, sparse snapshot of a [`Btb`]: the valid entries only, plus the
+/// counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BtbState {
-    /// All entries in index order.
+    /// The valid entries, in ascending [`BtbEntryState::index`] order.
     pub entries: Vec<BtbEntryState>,
     /// Lookups performed.
     pub lookups: u64,
     /// Lookups that hit.
     pub hits: u64,
+}
+
+impl BtbState {
+    /// `true` when this snapshot can describe a BTB configured by `cfg`:
+    /// entry indices strictly ascending and below `cfg.entries`.
+    pub fn fits(&self, cfg: BtbConfig) -> bool {
+        let mut next = 0;
+        self.entries.iter().all(|e| {
+            let ok = (next..cfg.entries).contains(&e.index);
+            next = e.index.saturating_add(1);
+            ok
+        })
+    }
 }
 
 impl Default for Btb {
@@ -231,6 +249,49 @@ mod tests {
         let before = b.stats();
         assert_eq!(b.peek(0x1), Some(2));
         assert_eq!(b.stats(), before);
+    }
+
+    #[test]
+    fn sparse_snapshot_round_trips() {
+        let cfg = BtbConfig {
+            entries: 16,
+            speculative_update: true,
+        };
+        let mut b = Btb::new(cfg);
+        b.update(0x3, 30);
+        b.update(0x9, 90);
+        b.lookup(0x3);
+        let state = b.dump_state();
+        assert_eq!(
+            state.entries.iter().map(|e| e.index).collect::<Vec<_>>(),
+            [3, 9]
+        );
+        assert_eq!(Btb::from_state(cfg, &state), Some(b.clone()));
+
+        // Restoring into a used BTB drops its own entries.
+        let mut used = Btb::new(cfg);
+        used.update(0x5, 50);
+        assert!(used.restore_state(&state));
+        assert_eq!(used, b);
+
+        // Out-of-range, repeated and descending indices are refused.
+        let entry = |index| BtbEntryState {
+            index,
+            tag: 0,
+            target: 0,
+        };
+        for entries in [
+            vec![entry(16)],
+            vec![entry(2), entry(2)],
+            vec![entry(9), entry(3)],
+        ] {
+            let bad = BtbState {
+                entries,
+                ..state.clone()
+            };
+            assert!(!used.clone().restore_state(&bad));
+            assert!(Btb::from_state(cfg, &bad).is_none());
+        }
     }
 
     #[test]
