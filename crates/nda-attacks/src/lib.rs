@@ -288,7 +288,7 @@ pub fn run_attack_with(kind: AttackKind, mut cfg: SimConfig, secret: u8) -> Atta
         }
         CoreModel::InOrder => {
             let mut c = InOrderCore::new(cfg, &program);
-            (c.run(ATTACK_MAX_CYCLES), c.mem)
+            (c.run(ATTACK_MAX_CYCLES), c.mem().clone())
         }
     };
     run.unwrap_or_else(|e| panic!("{kind} on {:?} {:?}: {e}", cfg.model, cfg.defense));

@@ -5,11 +5,18 @@
 //! This is the paper's lower bound — the only pre-NDA execution model known
 //! to defeat all 25 documented speculative-execution attacks — and the
 //! other end of the performance gap NDA closes 68-96 % of.
+//!
+//! Like `TimingSimpleCPU`, it is a timing model over shared functional
+//! execution: the architectural state is an [`Interp`] stepped by
+//! [`Interp::run_translated`], and the core only charges latencies on the
+//! [`ExecHooks`] events that engine reports (DESIGN.md §3.6). The ISA
+//! semantics therefore live in the interpreter alone.
 
-use crate::config::SimConfig;
+use crate::config::{CoreConfig, SimConfig};
 use crate::run::{RunResult, SimError};
-use nda_isa::inst::{Src2, UopClass};
-use nda_isa::{Fault, Inst, MsrFile, PrivilegeMap, Program, Reg, SparseMem};
+use crate::sampled::interp_err;
+use nda_isa::inst::UopClass;
+use nda_isa::{ExecHooks, Fault, Interp, Program, Reg, SparseMem, TranslatedProgram};
 use nda_mem::{MemHier, MemHierState};
 use nda_stats::{CpiClass, SimStats};
 
@@ -17,251 +24,189 @@ use nda_stats::{CpiClass, SimStats};
 /// [`InOrderCore::run`].
 #[derive(Debug, Clone)]
 pub struct InOrderCore {
-    cfg: SimConfig,
-    program: Program,
-    /// Architectural memory.
-    pub mem: SparseMem,
-    /// Model-specific registers.
-    pub msrs: MsrFile,
-    priv_map: PrivilegeMap,
+    /// Architectural state: registers, PC, memory, MSRs, halt flag.
+    interp: Interp,
+    tp: TranslatedProgram,
     /// Cache/DRAM timing.
     pub hier: MemHier,
-    regs: [u64; 32],
-    pc: usize,
-    cycle: u64,
-    halted: bool,
-    last_line: Option<u64>,
-    /// Cycle the multiply unit last finished (FPU power model).
-    fpu_busy_until: Option<u64>,
+    clock: Clock,
     /// Statistics for the run.
     pub stats: SimStats,
 }
 
-impl InOrderCore {
-    /// Build a core with the program loaded.
-    pub fn new(cfg: SimConfig, program: &Program) -> InOrderCore {
-        let mut mem = SparseMem::new();
-        for init in &program.data {
-            mem.write_bytes(init.addr, &init.bytes);
-        }
-        InOrderCore {
-            mem,
-            msrs: MsrFile::from_program(program),
-            priv_map: PrivilegeMap,
-            hier: MemHier::new(cfg.mem),
-            regs: [0; 32],
-            pc: program.entry,
-            cycle: 0,
-            halted: false,
-            last_line: None,
-            fpu_busy_until: None,
-            stats: SimStats::new(),
-            program: program.clone(),
-            cfg,
-        }
+/// The timing state the blocking model keeps besides the hierarchy.
+#[derive(Debug, Clone)]
+struct Clock {
+    cycle: u64,
+    /// I-cache line most recently fetched from.
+    last_line: Option<u64>,
+    /// Cycle the multiply unit last finished (FPU power model).
+    fpu_busy_until: Option<u64>,
+    core: CoreConfig,
+}
+
+/// The [`ExecHooks`] that charge the blocking latencies of the steps
+/// that start before cycle `limit`. Every issue spans one "active"
+/// cycle however long it executes, which keeps ILP <= 1.0.
+struct Timing<'a> {
+    clock: &'a mut Clock,
+    hier: &'a mut MemHier,
+    stats: &'a mut SimStats,
+    limit: u64,
+}
+
+impl ExecHooks for Timing<'_> {
+    #[inline]
+    fn stop(&mut self) -> bool {
+        self.clock.cycle >= self.limit
     }
 
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// `true` once `Halt` executed.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Architectural register value.
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
-    }
-
-    /// All architectural registers.
-    pub fn regs(&self) -> [u64; 32] {
-        self.regs
-    }
-
-    fn set_reg(&mut self, r: Reg, v: u64) {
-        if !r.is_zero() {
-            self.regs[r.index()] = v;
-        }
-    }
-
-    fn fault(&mut self, f: Fault) -> Result<(), SimError> {
-        self.stats.faults += 1;
-        match self.program.fault_handler {
-            Some(h) => {
-                self.pc = h;
-                self.last_line = None;
-                Ok(())
-            }
-            None => Err(SimError::UnhandledFault(f)),
-        }
-    }
-
-    /// Data access that blocks for its full latency; the blocking core can
-    /// never exhaust the MSHR file, so refusal retries immediately.
-    fn blocking_access(&mut self, addr: u64) -> u64 {
-        loop {
-            if let Some(acc) = self.hier.access_data(addr, self.cycle) {
-                let class = match acc.level {
-                    nda_mem::Level::L1 => CpiClass::MemL1,
-                    nda_mem::Level::L2 => CpiClass::MemL2,
-                    nda_mem::Level::Mem => CpiClass::MemDram,
-                };
-                self.stats.add_cycles(class, acc.latency);
-                return acc.latency;
-            }
-            self.cycle += 1;
-        }
-    }
-
-    /// Execute one instruction, advancing the cycle counter by its full
-    /// blocking cost.
-    pub fn step(&mut self) -> Result<(), SimError> {
-        if self.halted {
-            return Ok(());
-        }
-        let inst = self
-            .program
-            .fetch(self.pc)
-            .ok_or(SimError::PcOutOfRange { pc: self.pc })?;
-
-        // I-fetch: charge the i-cache on line transitions.
-        let iaddr = self.program.inst_addr(self.pc);
-        let line = iaddr / 64;
-        if self.last_line != Some(line) {
+    /// Charge the i-cache on line transitions.
+    #[inline]
+    fn inst(&mut self, iaddr: u64, iline: u64) {
+        if self.clock.last_line != Some(iline) {
             let acc = self.hier.access_inst(iaddr);
-            self.cycle += acc.latency;
+            self.clock.cycle += acc.latency;
             self.stats.add_cycles(CpiClass::FrontendFetch, acc.latency);
-            self.last_line = Some(line);
+            self.clock.last_line = Some(iline);
         }
+    }
 
-        let mut next = self.pc + 1;
-        let mut exec_cycles = inst.exec_latency();
-        match inst {
-            Inst::Li { rd, imm } => self.set_reg(rd, imm),
-            Inst::Alu { op, rd, rs1, src2 } => {
-                let a = self.reg(rs1);
-                let b = match src2 {
-                    Src2::Reg(r) => self.reg(r),
-                    Src2::Imm(i) => i,
-                };
-                exec_cycles = op.latency();
-                if self.cfg.core.fpu_power_model
-                    && matches!(
-                        op,
-                        nda_isa::AluOp::Mul | nda_isa::AluOp::Div | nda_isa::AluOp::Rem
-                    )
-                {
-                    let awake = self
-                        .fpu_busy_until
-                        .map(|t| self.cycle.saturating_sub(t) <= self.cfg.core.fpu_power_down_after)
-                        .unwrap_or(false);
-                    if !awake {
-                        exec_cycles += self.cfg.core.fpu_wake_penalty;
-                    }
-                    self.fpu_busy_until = Some(self.cycle + exec_cycles);
-                }
-                self.set_reg(rd, op.apply(a, b));
+    /// A powered-down multiply unit pays the wake penalty first.
+    #[inline]
+    fn mul_div(&mut self, latency: u64) {
+        let c = &mut *self.clock;
+        if c.core.fpu_power_model {
+            let awake = c
+                .fpu_busy_until
+                .is_some_and(|t| c.cycle.saturating_sub(t) <= c.core.fpu_power_down_after);
+            if !awake {
+                c.cycle += c.core.fpu_wake_penalty;
             }
-            Inst::Load {
-                rd,
-                base,
-                off,
-                size,
-            } => {
-                let addr = self.reg(base).wrapping_add(off as u64);
-                if self.priv_map.is_privileged(addr) {
-                    self.cycle += 1;
-                    self.bump_issue(1);
-                    return self.fault(Fault::PrivilegedAccess { addr });
-                }
-                let v = self.mem.read(addr, size.bytes());
-                exec_cycles += self.blocking_access(addr);
-                self.set_reg(rd, v);
-            }
-            Inst::Store {
-                src,
-                base,
-                off,
-                size,
-            } => {
-                let addr = self.reg(base).wrapping_add(off as u64);
-                if self.priv_map.is_privileged(addr) {
-                    self.cycle += 1;
-                    self.bump_issue(1);
-                    return self.fault(Fault::PrivilegedAccess { addr });
-                }
-                let v = self.reg(src);
-                self.mem.write(addr, v, size.bytes());
-                exec_cycles += self.blocking_access(addr);
-            }
-            Inst::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(self.reg(rs1), self.reg(rs2)) {
-                    next = target;
-                }
-            }
-            Inst::Jmp { target } => next = target,
-            Inst::JmpInd { base } => next = self.reg(base) as usize,
-            Inst::Call { target } => {
-                self.set_reg(nda_isa::reg::RA, (self.pc + 1) as u64);
-                next = target;
-            }
-            Inst::CallInd { base } => {
-                let t = self.reg(base) as usize;
-                self.set_reg(nda_isa::reg::RA, (self.pc + 1) as u64);
-                next = t;
-            }
-            Inst::Ret => next = self.reg(nda_isa::reg::RA) as usize,
-            Inst::RdCycle { rd } => {
-                let now = self.cycle;
-                self.set_reg(rd, now);
-            }
-            Inst::RdMsr { rd, idx } => {
-                if !self.msrs.user_may_read(idx) {
-                    self.cycle += 1;
-                    self.bump_issue(1);
-                    return self.fault(Fault::PrivilegedMsr { idx });
-                }
-                let v = self.msrs.read(idx);
-                self.set_reg(rd, v);
-            }
-            Inst::ClFlush { base, off } => {
-                let addr = self.reg(base).wrapping_add(off as u64);
-                self.hier.flush_line(addr);
-            }
-            Inst::Fence | Inst::SpecOff | Inst::SpecOn | Inst::Nop => {}
-            Inst::Halt => {
-                self.halted = true;
-            }
+            c.fpu_busy_until = Some(c.cycle + latency);
         }
-        self.cycle += exec_cycles;
-        self.bump_issue(exec_cycles);
+    }
+
+    #[inline]
+    fn rdcycle(&mut self, _retired: u64) -> u64 {
+        self.clock.cycle
+    }
+
+    /// A data access blocks for its full latency; the blocking core can
+    /// never exhaust the MSHR file, so refusal retries immediately.
+    #[inline]
+    fn data(&mut self, addr: u64) {
+        let acc = loop {
+            match self.hier.access_data(addr, self.clock.cycle) {
+                Some(acc) => break acc,
+                None => self.clock.cycle += 1,
+            }
+        };
+        let class = match acc.level {
+            nda_mem::Level::L1 => CpiClass::MemL1,
+            nda_mem::Level::L2 => CpiClass::MemL2,
+            nda_mem::Level::Mem => CpiClass::MemDram,
+        };
+        self.stats.add_cycles(class, acc.latency);
+        self.clock.cycle += acc.latency;
+    }
+
+    /// A fault costs one cycle and one issue, and the redirect refetches.
+    #[inline]
+    fn fault(&mut self, _fault: Fault) {
+        self.clock.cycle += 1;
+        self.stats.issued_insts += 1;
+        self.stats.issue_active_cycles += 1;
+        self.stats.faults += 1;
+        self.clock.last_line = None;
+    }
+
+    #[inline]
+    fn flush(&mut self, addr: u64) {
+        self.hier.flush_line(addr);
+    }
+
+    #[inline]
+    fn retire(&mut self, latency: u64, class: UopClass) {
+        self.clock.cycle += latency;
+        self.stats.issued_insts += 1;
+        self.stats.issue_active_cycles += 1;
         self.stats.committed_insts += 1;
         self.stats.add_cycles(CpiClass::Commit, 1);
-        match inst.class() {
+        match class {
             UopClass::Load | UopClass::LoadLike => self.stats.committed_loads += 1,
             UopClass::Store => self.stats.committed_stores += 1,
             UopClass::Branch => self.stats.committed_branches += 1,
             _ => {}
         }
-        if !self.halted {
-            self.pc = next;
+    }
+}
+
+impl InOrderCore {
+    /// Build a core with the program loaded.
+    pub fn new(cfg: SimConfig, program: &Program) -> InOrderCore {
+        InOrderCore {
+            interp: Interp::new(program),
+            tp: TranslatedProgram::new(program),
+            hier: MemHier::new(cfg.mem),
+            clock: Clock {
+                cycle: 0,
+                last_line: None,
+                fpu_busy_until: None,
+                core: cfg.core,
+            },
+            stats: SimStats::new(),
         }
-        Ok(())
     }
 
-    /// Record one issued instruction spanning `cycles` of execution (keeps
-    /// the ILP metric <= 1.0 by construction).
-    fn bump_issue(&mut self, _cycles: u64) {
-        self.stats.issued_insts += 1;
-        self.stats.issue_active_cycles += 1;
+    /// Current cycle.
+    pub fn cycle(&self) -> u64 {
+        self.clock.cycle
+    }
+
+    /// `true` once `Halt` executed.
+    pub fn halted(&self) -> bool {
+        self.interp.halted()
+    }
+
+    /// Architectural register value.
+    pub fn reg(&self, r: Reg) -> u64 {
+        self.interp.reg(r)
+    }
+
+    /// All architectural registers.
+    pub fn regs(&self) -> [u64; 32] {
+        *self.interp.regs()
+    }
+
+    /// Architectural memory.
+    pub fn mem(&self) -> &SparseMem {
+        &self.interp.mem
+    }
+
+    /// Execute up to `max_steps` instructions, stopping before a step
+    /// that would start at or past cycle `limit`.
+    fn advance(&mut self, max_steps: u64, limit: u64) -> Result<(), SimError> {
+        let mut timing = Timing {
+            clock: &mut self.clock,
+            hier: &mut self.hier,
+            stats: &mut self.stats,
+            limit,
+        };
+        self.interp
+            .run_translated(&self.tp, max_steps, &mut timing)
+            .map(drop)
+            .map_err(interp_err)
+    }
+
+    /// Execute one instruction, advancing the cycle counter by its full
+    /// blocking cost.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PcOutOfRange`] and [`SimError::UnhandledFault`].
+    pub fn step(&mut self) -> Result<(), SimError> {
+        self.advance(1, u64::MAX)
     }
 
     /// Run until `Halt` or the cycle budget is exhausted.
@@ -270,21 +215,20 @@ impl InOrderCore {
     ///
     /// See [`SimError`].
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(SimError::CycleLimit {
-                    cycles: self.cycle,
-                    snapshot: None,
-                });
-            }
-            self.step()?;
+        self.advance(u64::MAX, max_cycles)?;
+        let cycles = self.clock.cycle;
+        if !self.halted() {
+            return Err(SimError::CycleLimit {
+                cycles,
+                snapshot: None,
+            });
         }
-        self.stats.cycles = self.cycle;
+        self.stats.cycles = cycles;
         // The in-order machine issues exactly one instruction per "active"
         // window; classify every remaining cycle (non-unit execution
         // latencies) as backend execution so the stack partitions exactly.
         // The blocking model never delays a broadcast: nda-delay stays 0.
-        let rem = self.cycle.saturating_sub(self.stats.cpi_stack.total());
+        let rem = cycles.saturating_sub(self.stats.cpi_stack.total());
         self.stats.add_cycles(CpiClass::BackendExec, rem);
         Ok(self.result())
     }
@@ -294,8 +238,8 @@ impl InOrderCore {
         RunResult {
             stats: self.stats,
             mem_stats: self.hier.stats(),
-            regs: self.regs,
-            halted: self.halted,
+            regs: self.regs(),
+            halted: self.halted(),
             host_ns: 0,
             sampled: None,
         }
@@ -311,30 +255,14 @@ impl InOrderCore {
     ///
     /// Panics unless the core is freshly constructed (cycle 0), or if the
     /// snapshot does not fit the core's cache geometry.
-    pub fn restore_checkpoint(&mut self, interp: &nda_isa::Interp, hier: &MemHierState) {
+    pub fn restore_checkpoint(&mut self, interp: &Interp, hier: &MemHierState) {
         assert!(
-            self.cycle == 0 && self.stats.committed_insts == 0,
+            self.clock.cycle == 0 && self.stats.committed_insts == 0,
             "checkpoint restore requires a freshly constructed core"
         );
-        self.regs = *interp.regs();
-        self.pc = interp.pc();
-        self.mem = interp.mem.clone();
-        self.msrs = interp.msrs.clone();
+        self.interp = interp.clone();
         let fits = self.hier.restore_state(hier);
         assert!(fits, "checkpoint does not fit the core's cache geometry");
-        self.halted = interp.halted();
-        self.last_line = None;
-    }
-
-    /// Record a cycle-class (used by the shared reporting path; the
-    /// in-order model accounts stalls inline instead).
-    pub fn record_cycle(&mut self, class: CpiClass) {
-        self.stats.record_cycle(class);
-    }
-
-    /// The configuration this core was built with.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 }
 

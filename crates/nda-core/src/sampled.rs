@@ -252,12 +252,14 @@ pub enum FfEngine {
     Reference,
 }
 
-fn interp_err(e: InterpError) -> SimError {
+/// The [`SimError`] for an error of the functional engine, shared by the
+/// fast-forward and the in-order core.
+pub(crate) fn interp_err(e: InterpError) -> SimError {
     match e {
         InterpError::PcOutOfRange { pc } => SimError::PcOutOfRange { pc },
         InterpError::UnhandledFault(f) => SimError::UnhandledFault(f),
-        // The caller converts the step budget into CycleLimit itself;
-        // Interp::run is never used here, so StepLimit cannot occur.
+        // Callers convert their budget into CycleLimit themselves;
+        // neither uses Interp::run, so StepLimit cannot occur.
         InterpError::StepLimit => SimError::CycleLimit {
             cycles: 0,
             snapshot: None,

@@ -453,3 +453,179 @@ fn extra_broadcast_delay_is_pinned() {
     }
     assert_eq!(got, EXTRA_DELAY_PINS, "extra-delay timing drifted");
 }
+
+/// One pass over each path the in-order core charges besides loads,
+/// stores, branches and ALU ops: a multiply and a divide with the FPU
+/// power model on, each after a power-down gap; `clflush` and a reload;
+/// a privileged load and a privileged `rdmsr`, both through a fault
+/// handler on its own i-line, so the fetch right after each redirect
+/// crosses a line; and `rdcycle` values stored to memory along the way.
+fn inorder_paths_program() -> nda_isa::Program {
+    let mut asm = Asm::new();
+    let handler = asm.new_label();
+    let after_load = asm.new_label();
+    let after_msr = asm.new_label();
+    asm.fault_handler(handler);
+    asm.msr(1, 0x42).msr(2, 0x43).msr_user_ok(2);
+    asm.data_u64s(0x8000, &[7, 5]);
+    asm.li(Reg::X2, 0x8000) // data
+        .li(Reg::X9, 0x9000) // rdcycle log
+        .li(Reg::X12, 0x10_0000); // cold region
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 0);
+    asm.ld8(Reg::X3, Reg::X2, 0);
+    asm.mul(Reg::X4, Reg::X3, Reg::X3); // powered down: wake penalty
+    asm.mul(Reg::X4, Reg::X4, Reg::X3); // awake
+    asm.ld8(Reg::X13, Reg::X12, 0); // two serial DRAM misses: the unit
+    asm.ld8(Reg::X13, Reg::X12, 4096); // powers down in the gap
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 8);
+    asm.alui(nda_isa::AluOp::Div, Reg::X5, Reg::X4, 3); // wake penalty again
+    asm.alui(nda_isa::AluOp::Rem, Reg::X6, Reg::X4, 5); // awake
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 16);
+    asm.ld8(Reg::X7, Reg::X2, 8); // warm
+    asm.clflush(Reg::X2, 0);
+    asm.ld8(Reg::X7, Reg::X2, 8); // cold again
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 24);
+    asm.li(Reg::X14, nda_isa::KERNEL_BASE);
+    asm.ld8(Reg::X15, Reg::X14, 0); // faults
+    asm.bind(after_load);
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 32);
+    asm.rdmsr(Reg::X16, 2);
+    asm.rdmsr(Reg::X17, 1); // faults
+    asm.bind(after_msr);
+    asm.rdcycle(Reg::X10);
+    asm.st8(Reg::X10, Reg::X9, 40);
+    asm.add(Reg::X4, Reg::X4, Reg::X5);
+    asm.add(Reg::X4, Reg::X4, Reg::X6);
+    asm.add(Reg::X4, Reg::X4, Reg::X7);
+    asm.add(Reg::X4, Reg::X4, Reg::X16);
+    asm.halt();
+    // The handler starts a fresh i-line and logs the cycle it starts at.
+    while !asm.here().is_multiple_of(16) {
+        asm.nop();
+    }
+    asm.bind(handler);
+    asm.rdcycle(Reg::X22);
+    asm.addi(Reg::X20, Reg::X20, 1);
+    asm.shli(Reg::X23, Reg::X20, 3);
+    asm.add(Reg::X23, Reg::X23, Reg::X9);
+    asm.st8(Reg::X22, Reg::X23, 64);
+    asm.li(Reg::X21, 1);
+    asm.beq(Reg::X20, Reg::X21, after_load);
+    asm.jmp(after_msr);
+    asm.assemble().unwrap()
+}
+
+/// The CPI stack of one run, in `CpiClass::all()` order.
+fn cpi_stack(s: &nda_stats::SimStats) -> Vec<u64> {
+    nda_stats::CpiClass::all()
+        .into_iter()
+        .map(|c| s.cpi_stack.get(c))
+        .collect()
+}
+
+#[test]
+fn inorder_timing_paths_are_pinned() {
+    let prog = inorder_paths_program();
+    let mut cfg = SimConfig::for_variant(Variant::InOrder);
+    cfg.core.fpu_power_model = true;
+    let mut core = nda_core::InOrderCore::new(cfg, &prog);
+    let r = core.run(1_000_000).unwrap();
+    let s = r.stats;
+    let log: Vec<u64> = (0..12)
+        .map(|k| core.mem().read(0x9000 + 8 * k, 8))
+        .collect();
+    assert_eq!(
+        (
+            s.cycles,
+            s.committed_insts,
+            s.faults,
+            s.committed_loads,
+            s.committed_stores,
+            s.committed_branches,
+            s.issued_insts
+        ),
+        (1619, 47, 2, 6, 8, 3, 49)
+    );
+    assert_eq!(cpi_stack(&s), [47, 588, 0, 0, 0, 0, 92, 28, 0, 864, 0]);
+    #[rustfmt::skip]
+    let regs = [
+        0, 0, 0x8000, 7, 532, 114, 3, 5, 0, 0x9000, 1464, 0, 0x10_0000, 0,
+        nda_isa::KERNEL_BASE, 0, 0x43, 0, 0, 0, 2, 1, 1448, 0x9010,
+        0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    assert_eq!(r.regs, regs);
+    assert_eq!(
+        log,
+        [147, 754, 828, 1129, 1436, 1464, 0, 0, 0, 1281, 1448, 0]
+    );
+}
+
+/// A PC that leaves the text and a fault with no handler end an in-order
+/// run with the same error, at the same cycle, as they always have; the
+/// cycle budget stops a run before the step that would start at or past
+/// it. Each row: the error, then the core's cycle, faults and committed
+/// instructions.
+#[test]
+fn inorder_run_errors_are_pinned() {
+    let falls_off = {
+        let mut asm = Asm::new();
+        asm.li(Reg::X2, 1).nop();
+        asm.assemble().unwrap()
+    };
+    let unhandled_load = {
+        let mut asm = Asm::new();
+        asm.li(Reg::X2, nda_isa::KERNEL_BASE + 8);
+        asm.ld8(Reg::X3, Reg::X2, 8);
+        asm.halt();
+        asm.assemble().unwrap()
+    };
+    let unhandled_msr = {
+        let mut asm = Asm::new();
+        asm.msr(3, 9);
+        asm.rdmsr(Reg::X3, 3);
+        asm.halt();
+        asm.assemble().unwrap()
+    };
+    let inorder = SimConfig::for_variant(Variant::InOrder);
+    let mut fpu = inorder;
+    fpu.core.fpu_power_model = true;
+    let got: Vec<(String, u64, u64, u64)> = [
+        (inorder, falls_off, 1_000_000),
+        (inorder, unhandled_load, 1_000_000),
+        (inorder, unhandled_msr, 1_000_000),
+        (fpu, inorder_paths_program(), 300),
+    ]
+    .into_iter()
+    .map(|(cfg, prog, max_cycles)| {
+        let mut core = nda_core::InOrderCore::new(cfg, &prog);
+        let err = core.run(max_cycles).unwrap_err();
+        let s = &core.stats;
+        let row = (
+            format!("{err:?}"),
+            core.cycle(),
+            s.faults,
+            s.committed_insts,
+        );
+        println!("    {row:?},");
+        row
+    })
+    .collect();
+    let want = [
+        ("PcOutOfRange { pc: 2 }", 146, 0, 2),
+        (
+            "UnhandledFault(PrivilegedAccess { addr: 18446603336221196304 })",
+            146,
+            1,
+            1,
+        ),
+        ("UnhandledFault(PrivilegedMsr { idx: 3 })", 145, 1, 0),
+        ("CycleLimit { cycles: 438, snapshot: None }", 438, 0, 6),
+    ]
+    .map(|(e, cycle, faults, insts)| (e.to_string(), cycle, faults, insts));
+    assert_eq!(got, want);
+}

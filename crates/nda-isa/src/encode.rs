@@ -41,6 +41,8 @@ pub enum DecodeError {
     BadSubcode(u8),
     /// Program header magic mismatch.
     BadMagic,
+    /// A delta-encoded code-pointer list sums past `u64::MAX`.
+    AddressOverflow,
 }
 
 impl fmt::Display for DecodeError {
@@ -51,6 +53,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadRegister(b) => write!(f, "register {b} out of range"),
             DecodeError::BadSubcode(b) => write!(f, "sub-opcode {b} out of range"),
             DecodeError::BadMagic => write!(f, "bad program magic"),
+            DecodeError::AddressOverflow => write!(f, "code-pointer address overflows 64 bits"),
         }
     }
 }
@@ -458,6 +461,12 @@ pub fn encode_program(p: &Program) -> Vec<u8> {
     out
 }
 
+/// The next entry of a delta-encoded list: `prev` plus the delta at `pos`.
+fn next_address(prev: u64, buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    prev.checked_add(get_varint(buf, pos)?)
+        .ok_or(DecodeError::AddressOverflow)
+}
+
 /// Deserialize a program produced by [`encode_program`].
 ///
 /// # Errors
@@ -487,11 +496,9 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
     for _ in 0..nd {
         let addr = get_varint(buf, &mut pos)?;
         let len = get_varint(buf, &mut pos)? as usize;
-        let bytes = buf
-            .get(pos..pos + len)
-            .ok_or(DecodeError::Truncated)?
-            .to_vec();
-        pos += len;
+        let end = pos.checked_add(len).ok_or(DecodeError::Truncated)?;
+        let bytes = buf.get(pos..end).ok_or(DecodeError::Truncated)?.to_vec();
+        pos = end;
         data.push(DataInit { addr, bytes });
     }
     let nm = get_varint(buf, &mut pos)? as usize;
@@ -510,7 +517,7 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
     let mut code_ptr_lis = Vec::with_capacity(nc.min(1 << 16));
     let mut prev = 0u64;
     for _ in 0..nc {
-        prev += get_varint(buf, &mut pos)?;
+        prev = next_address(prev, buf, &mut pos)?;
         code_ptr_lis.push(prev as usize);
     }
     // Trailing section added after the first format revision: files
@@ -521,7 +528,7 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
         code_ptr_words.reserve(nw.min(1 << 16));
         let mut prev = 0u64;
         for _ in 0..nw {
-            prev += get_varint(buf, &mut pos)?;
+            prev = next_address(prev, buf, &mut pos)?;
             code_ptr_words.push(prev);
         }
     }
@@ -659,6 +666,53 @@ mod tests {
         }
     }
 
+    /// A one-instruction program's bytes up to (not including) its data
+    /// section.
+    fn header_and_text() -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        put_varint(&mut bytes, 0); // entry
+        put_varint(&mut bytes, crate::TEXT_BASE);
+        bytes.push(0); // no fault handler
+        put_varint(&mut bytes, 1);
+        encode(Inst::Halt, &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn data_length_near_u64_max_is_truncation_not_overflow() {
+        for len in [u64::MAX, u64::MAX - 3] {
+            let mut bytes = header_and_text();
+            put_varint(&mut bytes, 1); // one data init
+            put_varint(&mut bytes, 0x1000);
+            put_varint(&mut bytes, len);
+            bytes.extend_from_slice(&[1, 2, 3, 4]);
+            assert_eq!(decode_program(&bytes), Err(DecodeError::Truncated));
+        }
+    }
+
+    #[test]
+    fn code_pointer_deltas_past_u64_max_are_rejected() {
+        // code_ptr_lis, then code_ptr_words: two deltas summing past
+        // u64::MAX in each list.
+        for words in [false, true] {
+            let mut bytes = header_and_text();
+            for _ in 0..3 {
+                put_varint(&mut bytes, 0); // data, msr values, msr user-ok
+            }
+            if words {
+                put_varint(&mut bytes, 0); // no code-pointer Li's
+            }
+            put_varint(&mut bytes, 2);
+            put_varint(&mut bytes, u64::MAX);
+            put_varint(&mut bytes, 1);
+            assert_eq!(
+                decode_program(&bytes),
+                Err(DecodeError::AddressOverflow),
+                "words {words}"
+            );
+        }
+    }
+
     #[test]
     fn unknown_opcode_rejected() {
         let mut pos = 0;
@@ -683,6 +737,7 @@ mod tests {
             DecodeError::BadRegister(99),
             DecodeError::BadSubcode(77),
             DecodeError::BadMagic,
+            DecodeError::AddressOverflow,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -10,7 +10,8 @@
 //! register numbers extracted to raw indices, load/store offsets
 //! pre-converted to their wrapping `u64` form, access widths reduced to a
 //! byte count, and each op's i-cache byte address and 64-byte line id
-//! precomputed so per-instruction warming reduces to one integer compare.
+//! precomputed so per-instruction warming reduces to one integer compare
+//! (its execution latency and uop class too, for the timing hooks).
 //!
 //! [`Interp::run_translated`] then drives the *same* [`Interp`] state from
 //! that array. Because it mutates the interpreter's own fields, there is no
@@ -19,33 +20,56 @@
 //! the reference engine by construction, and the differential suite pins
 //! the two engines to `Interp == Interp` equality after every program.
 //!
-//! Warming side effects are delivered through the [`ExecHooks`] trait
-//! instead of a materialized [`StepInfo`]: each callback corresponds to one
-//! arm of the sampled simulator's warming match, is statically dispatched,
-//! and compiles to nothing for [`NoHooks`]. The callback order per
-//! instruction (instruction line, control-flow update, data touch, flush)
-//! replicates the reference warming order exactly, so cache and predictor
-//! state after a translated fast-forward is bit-identical to the
-//! interpreted path — including predictor accuracy counters, which
-//! participate in checkpoint equality.
+//! Each step's events are delivered through the [`ExecHooks`] trait
+//! instead of a materialized [`StepInfo`], statically dispatched, with
+//! every callback a no-op by default. It has two clients. The sampled
+//! simulator's warmer uses the warming callbacks, which replicate the
+//! reference warming order exactly, so cache and predictor state after a
+//! translated fast-forward is bit-identical to the interpreted path —
+//! including predictor accuracy counters, which participate in checkpoint
+//! equality. The blocking in-order core, a timing model over this engine,
+//! also uses the timing callbacks (stop, `rdcycle`, multiply/divide,
+//! fault, retire) to charge its latencies.
+//!
+//! [`StepInfo`]: crate::StepInfo
 
-use crate::inst::{AluOp, BranchCond, Inst, Src2};
+use crate::inst::{AluOp, BranchCond, Inst, Src2, UopClass};
 use crate::interp::{Fault, Interp, InterpError};
 use crate::program::Program;
 use crate::reg::RA;
 
-/// Warming callbacks invoked by [`Interp::run_translated`] for the
-/// committed instruction stream.
+/// Callbacks invoked by [`Interp::run_translated`] for the executed
+/// instruction stream: the warming events of the sampled simulator's
+/// fast-forward, and the timing events the blocking in-order core charges
+/// its latencies on.
 ///
-/// Every method defaults to a no-op; implementors override exactly the
-/// events they warm on. Call order within one instruction is fixed:
-/// [`ExecHooks::inst`] first, then the control-flow callback (if any), then
-/// [`ExecHooks::data`], then [`ExecHooks::flush`]. A faulting instruction
-/// reports only [`ExecHooks::inst`] — its data access never happened.
+/// Every method defaults to a no-op (or to the interpreter's own value);
+/// implementors override exactly the events they use. Call order within
+/// one step is fixed:
+///
+/// 1. [`ExecHooks::stop`], before the fetch;
+/// 2. [`ExecHooks::inst`];
+/// 3. at most one of the control-flow callbacks, [`ExecHooks::mul_div`]
+///    or [`ExecHooks::rdcycle`];
+/// 4. [`ExecHooks::data`] for a load or store, or [`ExecHooks::fault`] for
+///    a faulting one or a faulting `rdmsr`, which ends the step;
+/// 5. [`ExecHooks::flush`] for a `clflush`;
+/// 6. [`ExecHooks::retire`].
+///
+/// A faulting step therefore reports `stop`, `inst` and `fault` only: its
+/// data access never happened and it does not retire.
 pub trait ExecHooks {
+    /// Checked before every step, ahead of the fetch; `true` ends the run
+    /// there, as an exhausted step budget does.
+    #[inline]
+    fn stop(&mut self) -> bool {
+        false
+    }
+
     /// An instruction at i-cache byte address `iaddr` (64-byte line id
-    /// `iline`) executed. Called for **every** step, including faulting
-    /// ones; implementors that warm i-caches per line filter on `iline`.
+    /// `iline`) executed. Called for **every** fetched step, including
+    /// faulting ones; implementors that warm i-caches per line filter on
+    /// `iline`.
     #[inline]
     fn inst(&mut self, iaddr: u64, iline: u64) {
         let _ = (iaddr, iline);
@@ -80,16 +104,45 @@ pub trait ExecHooks {
     #[inline]
     fn ret(&mut self) {}
 
+    /// A multiply, divide or remainder of execution latency `latency`
+    /// issued (the ops a power-gated multiply unit serves).
+    #[inline]
+    fn mul_div(&mut self, latency: u64) {
+        let _ = latency;
+    }
+
+    /// The value a `rdcycle` reads. The interpreter has no clock, so the
+    /// default is `retired`, its retired-instruction count, which keeps
+    /// the value deterministic; a timing model returns its cycle.
+    #[inline]
+    fn rdcycle(&mut self, retired: u64) -> u64 {
+        retired
+    }
+
     /// A non-faulting load or store touched byte address `addr`.
     #[inline]
     fn data(&mut self, addr: u64) {
         let _ = addr;
     }
 
+    /// A load, store or `rdmsr` faulted. Called before the fault is
+    /// delivered, so also for a fault with no handler.
+    #[inline]
+    fn fault(&mut self, fault: Fault) {
+        let _ = fault;
+    }
+
     /// A `clflush` evicted the line containing `addr`.
     #[inline]
     fn flush(&mut self, addr: u64) {
         let _ = addr;
+    }
+
+    /// The instruction retired: `latency` is its execution latency
+    /// ([`Inst::exec_latency`]) and `class` its [`UopClass`].
+    #[inline]
+    fn retire(&mut self, latency: u64, class: UopClass) {
+        let _ = (latency, class);
     }
 }
 
@@ -124,13 +177,13 @@ enum OpKind {
         rd: u8,
         base: u8,
         off: u64,
-        size: u64,
+        size: u8,
     },
     Store {
         src: u8,
         base: u8,
         off: u64,
-        size: u64,
+        size: u8,
     },
     Branch {
         cond: BranchCond,
@@ -176,6 +229,10 @@ struct Op {
     /// 64-byte i-cache line id (`iaddr / 64`), precomputed so the warming
     /// driver's per-instruction line check is a single compare.
     iline: u64,
+    /// [`Inst::exec_latency`], reported to [`ExecHooks::retire`].
+    latency: u32,
+    /// [`Inst::class`], reported to [`ExecHooks::retire`].
+    class: UopClass,
 }
 
 fn translate(inst: Inst) -> OpKind {
@@ -205,7 +262,7 @@ fn translate(inst: Inst) -> OpKind {
             rd: r(rd),
             base: r(base),
             off: off as u64,
-            size: size.bytes(),
+            size: size.bytes() as u8,
         },
         Inst::Store {
             src,
@@ -216,7 +273,7 @@ fn translate(inst: Inst) -> OpKind {
             src: r(src),
             base: r(base),
             off: off as u64,
-            size: size.bytes(),
+            size: size.bytes() as u8,
         },
         Inst::Branch {
             cond,
@@ -271,6 +328,8 @@ impl TranslatedProgram {
                         kind: translate(inst),
                         iaddr,
                         iline: iaddr / 64,
+                        latency: inst.exec_latency() as u32,
+                        class: inst.class(),
                     }
                 })
                 .collect(),
@@ -302,16 +361,18 @@ impl Interp {
     }
 
     /// Execute up to `max_steps` instructions from the pre-decoded
-    /// `tp`, reporting warming events to `hooks`. Returns the number of
-    /// instructions **executed** (faulting steps execute without retiring,
-    /// exactly as in [`Interp::step_info`]); stops early on `Halt`.
+    /// `tp`, reporting each step's events to `hooks`. Returns the number
+    /// of instructions **executed** (faulting steps execute without
+    /// retiring, exactly as in [`Interp::step_info`]); stops early on
+    /// `Halt` or when [`ExecHooks::stop`] asks to.
     ///
     /// `tp` must be the translation of the program this interpreter runs
     /// (positional PC correspondence is assumed; debug builds assert the
     /// text lengths match). Architectural behaviour — registers, PC,
     /// memory, MSRs, fault delivery, retirement and halt — is bit-exact
-    /// with driving [`Interp::step_info`] in a loop, and the hook call
-    /// sequence matches the sampled simulator's reference warming order.
+    /// with driving [`Interp::step_info`] in a loop, except that `rdcycle`
+    /// reads [`ExecHooks::rdcycle`]; the hook call sequence matches the
+    /// sampled simulator's reference warming order.
     ///
     /// # Errors
     ///
@@ -327,20 +388,27 @@ impl Interp {
     ) -> Result<u64, InterpError> {
         debug_assert_eq!(tp.ops.len(), self.program.len(), "translation mismatch");
         let mut executed = 0u64;
-        while executed < max_steps && !self.halted {
+        while executed < max_steps && !self.halted && !hooks.stop() {
             let Some(op) = tp.ops.get(self.pc) else {
                 return Err(InterpError::PcOutOfRange { pc: self.pc });
             };
             hooks.inst(op.iaddr, op.iline);
             executed += 1;
+            let latency = u64::from(op.latency);
             let mut next = self.pc + 1;
             match op.kind {
                 OpKind::Li { rd, imm } => self.set_reg_idx(rd, imm),
                 OpKind::AluRR { op, rd, rs1, rs2 } => {
+                    if matches!(op, AluOp::Mul | AluOp::Div | AluOp::Rem) {
+                        hooks.mul_div(latency);
+                    }
                     let v = op.apply(self.reg_idx(rs1), self.reg_idx(rs2));
                     self.set_reg_idx(rd, v);
                 }
                 OpKind::AluRI { op, rd, rs1, imm } => {
+                    if matches!(op, AluOp::Mul | AluOp::Div | AluOp::Rem) {
+                        hooks.mul_div(latency);
+                    }
                     let v = op.apply(self.reg_idx(rs1), imm);
                     self.set_reg_idx(rd, v);
                 }
@@ -352,10 +420,10 @@ impl Interp {
                 } => {
                     let addr = self.reg_idx(base).wrapping_add(off);
                     if self.priv_map.is_privileged(addr) {
-                        self.deliver_fault(Fault::PrivilegedAccess { addr })?;
+                        self.fault(Fault::PrivilegedAccess { addr }, hooks)?;
                         continue;
                     }
-                    let v = self.mem.read(addr, size);
+                    let v = self.mem.read(addr, u64::from(size));
                     self.set_reg_idx(rd, v);
                     hooks.data(addr);
                 }
@@ -367,11 +435,11 @@ impl Interp {
                 } => {
                     let addr = self.reg_idx(base).wrapping_add(off);
                     if self.priv_map.is_privileged(addr) {
-                        self.deliver_fault(Fault::PrivilegedAccess { addr })?;
+                        self.fault(Fault::PrivilegedAccess { addr }, hooks)?;
                         continue;
                     }
                     let v = self.reg_idx(src);
-                    self.mem.write(addr, v, size);
+                    self.mem.write(addr, v, u64::from(size));
                     hooks.data(addr);
                 }
                 OpKind::Branch {
@@ -409,12 +477,12 @@ impl Interp {
                     hooks.ret();
                 }
                 OpKind::RdCycle { rd } => {
-                    let v = self.retired;
+                    let v = hooks.rdcycle(self.retired);
                     self.set_reg_idx(rd, v);
                 }
                 OpKind::RdMsr { rd, idx } => {
                     if !self.msrs.user_may_read(idx) {
-                        self.deliver_fault(Fault::PrivilegedMsr { idx })?;
+                        self.fault(Fault::PrivilegedMsr { idx }, hooks)?;
                         continue;
                     }
                     let v = self.msrs.read(idx);
@@ -427,14 +495,21 @@ impl Interp {
                 OpKind::Nop => {}
                 OpKind::Halt => {
                     self.halted = true;
-                    self.retired += 1;
-                    continue;
+                    next = self.pc;
                 }
             }
             self.retired += 1;
             self.pc = next;
+            hooks.retire(latency, op.class);
         }
         Ok(executed)
+    }
+
+    /// Report `fault` to `hooks`, then deliver it.
+    #[inline]
+    fn fault<H: ExecHooks>(&mut self, fault: Fault, hooks: &mut H) -> Result<(), InterpError> {
+        hooks.fault(fault);
+        self.deliver_fault(fault)
     }
 }
 
@@ -454,6 +529,10 @@ mod tests {
     }
 
     impl ExecHooks for Recorder {
+        fn stop(&mut self) -> bool {
+            self.events.push("stop".into());
+            false
+        }
         fn inst(&mut self, iaddr: u64, iline: u64) {
             self.events.push(format!("inst {iaddr:#x} {iline}"));
         }
@@ -479,13 +558,41 @@ mod tests {
         fn flush(&mut self, addr: u64) {
             self.events.push(format!("flush {addr:#x}"));
         }
+        fn mul_div(&mut self, latency: u64) {
+            self.events.push(format!("muldiv {latency}"));
+        }
+        fn rdcycle(&mut self, retired: u64) -> u64 {
+            self.events.push(format!("rdcycle {retired}"));
+            retired
+        }
+        fn fault(&mut self, fault: Fault) {
+            self.events.push(format!("fault {fault}"));
+        }
+        fn retire(&mut self, latency: u64, class: UopClass) {
+            self.events.push(format!("retire {latency} {class:?}"));
+        }
+    }
+
+    /// The fault `inst` would raise in `interp`'s current state, if it is
+    /// an instruction that can fault.
+    fn fault_of(interp: &Interp, inst: Inst) -> Option<Fault> {
+        match inst {
+            Inst::Load { base, off, .. } | Inst::Store { base, off, .. } => {
+                Some(Fault::PrivilegedAccess {
+                    addr: interp.reg(base).wrapping_add(off as u64),
+                })
+            }
+            Inst::RdMsr { idx, .. } => Some(Fault::PrivilegedMsr { idx }),
+            _ => None,
+        }
     }
 
     /// The hook sequence the reference warming driver would produce from
-    /// `step_info` reports, for differential comparison. The `inst` event
-    /// fires iff the fetch succeeds, matching `run_translated` (which
-    /// reports the instruction line before executing it, including on
-    /// handled *and* unhandled faults, but not on a PC escape).
+    /// `step_info` reports, for differential comparison. The `stop` event
+    /// opens every step attempt; the `inst` event fires iff the fetch
+    /// succeeds, matching `run_translated` (which reports the instruction
+    /// line before executing it, including on handled *and* unhandled
+    /// faults, but not on a PC escape).
     #[allow(clippy::type_complexity)]
     fn reference_events(
         program: &Program,
@@ -498,21 +605,36 @@ mod tests {
             if executed >= max_steps || interp.halted() {
                 break Ok(executed);
             }
+            ev.push("stop".into());
             let pc = interp.pc();
-            if program.fetch(pc).is_some() {
+            let fetched = program.fetch(pc);
+            if fetched.is_some() {
                 let iaddr = program.inst_addr(pc);
                 ev.push(format!("inst {iaddr:#x} {}", iaddr / 64));
             }
+            let retired = interp.retired();
+            let fault = fetched.and_then(|i| fault_of(&interp, i));
             let info = match interp.step_info() {
                 Ok(Some(info)) => info,
                 Ok(None) => break Ok(executed),
-                Err(e) => break Err(e),
+                Err(e) => {
+                    if let InterpError::UnhandledFault(f) = e {
+                        ev.push(format!("fault {f}"));
+                    }
+                    break Err(e);
+                }
             };
             executed += 1;
             if info.faulted {
+                ev.push(format!("fault {}", fault.expect("a faulting inst")));
                 continue;
             }
             match info.inst {
+                Inst::Alu {
+                    op: AluOp::Mul | AluOp::Div | AluOp::Rem,
+                    ..
+                } => ev.push(format!("muldiv {}", info.inst.exec_latency())),
+                Inst::RdCycle { .. } => ev.push(format!("rdcycle {retired}")),
                 Inst::Branch { .. } => {
                     ev.push(format!(
                         "branch {iaddr:#x} {}",
@@ -541,6 +663,11 @@ mod tests {
             if let Some(addr) = info.flush_addr {
                 ev.push(format!("flush {addr:#x}"));
             }
+            ev.push(format!(
+                "retire {} {:?}",
+                info.inst.exec_latency(),
+                info.inst.class()
+            ));
         };
         (interp, ev, res)
     }
@@ -554,6 +681,13 @@ mod tests {
         assert_eq!(fast, reference, "architectural state diverged");
         assert_eq!(rec.events, ref_events, "warming event stream diverged");
         assert_eq!(fast_res, ref_res, "termination diverged");
+    }
+
+    /// The timing fields cost no space: a one-byte access width leaves
+    /// room for them in the op's padding.
+    #[test]
+    fn op_stays_five_words() {
+        assert_eq!(std::mem::size_of::<Op>(), 40);
     }
 
     #[test]
@@ -615,6 +749,111 @@ mod tests {
         assert_engines_agree(&asm.assemble().unwrap(), 1000);
     }
 
+    /// The literal event order of a short run: a multiply, a `rdcycle`, a
+    /// privileged load that faults into the handler, a store, a `clflush`
+    /// and the halt.
+    #[test]
+    fn hook_order_is_pinned_including_a_faulting_step() {
+        let mut asm = Asm::new();
+        let h = asm.new_label();
+        asm.fault_handler(h);
+        asm.li(Reg::X2, KERNEL_BASE);
+        asm.mul(Reg::X3, Reg::X2, Reg::X2);
+        asm.rdcycle(Reg::X4);
+        asm.load(Reg::X5, Reg::X2, 8, MemSize::B8); // faults
+        asm.halt();
+        asm.bind(h);
+        asm.st8(Reg::X4, Reg::X0, 0x100);
+        asm.clflush(Reg::X0, 0x100);
+        asm.halt();
+        let p = asm.assemble().unwrap();
+        let tp = TranslatedProgram::new(&p);
+        let mut interp = Interp::new(&p);
+        let mut rec = Recorder::default();
+        assert_eq!(interp.run_translated(&tp, 100, &mut rec), Ok(7));
+        let fault = Fault::PrivilegedAccess {
+            addr: KERNEL_BASE + 8,
+        };
+        let line = p.inst_addr(0) / 64;
+        let inst = |pc: usize| format!("inst {:#x} {line}", p.inst_addr(pc));
+        let want = [
+            "stop".to_string(),
+            inst(0),
+            "retire 1 Arith".into(),
+            "stop".into(),
+            inst(1),
+            "muldiv 3".into(),
+            "retire 3 Arith".into(),
+            "stop".into(),
+            inst(2),
+            "rdcycle 2".into(),
+            "retire 1 Serializing".into(),
+            "stop".into(),
+            inst(3),
+            format!("fault {fault}"),
+            "stop".into(),
+            inst(5),
+            "data 0x100".into(),
+            "retire 1 Store".into(),
+            "stop".into(),
+            inst(6),
+            "flush 0x100".into(),
+            "retire 1 Arith".into(),
+            "stop".into(),
+            inst(7),
+            "retire 1 Serializing".into(),
+        ];
+        assert_eq!(rec.events, want);
+        assert_engines_agree(&p, 100);
+    }
+
+    /// A hook that stops after `budget` retirements and reads a clock.
+    struct Clock {
+        cycle: u64,
+        budget: u64,
+        retired: u64,
+    }
+
+    impl ExecHooks for Clock {
+        fn stop(&mut self) -> bool {
+            self.retired >= self.budget
+        }
+        fn rdcycle(&mut self, _retired: u64) -> u64 {
+            self.cycle
+        }
+        fn retire(&mut self, latency: u64, _class: UopClass) {
+            self.cycle += latency;
+            self.retired += 1;
+        }
+    }
+
+    #[test]
+    fn rdcycle_reads_the_hook_and_stop_ends_the_run_resumably() {
+        let mut asm = Asm::new();
+        asm.li(Reg::X2, 7);
+        asm.alui(AluOp::Div, Reg::X3, Reg::X2, 2);
+        asm.rdcycle(Reg::X4);
+        asm.rdcycle(Reg::X5);
+        asm.halt();
+        let p = asm.assemble().unwrap();
+        let tp = TranslatedProgram::new(&p);
+        let mut interp = Interp::new(&p);
+        let mut clock = Clock {
+            cycle: 100,
+            budget: 3,
+            retired: 0,
+        };
+        assert_eq!(interp.run_translated(&tp, 100, &mut clock), Ok(3));
+        assert!(!interp.halted());
+        assert_eq!(interp.pc(), 3, "stopped before the fourth step");
+        assert_eq!(interp.reg(Reg::X4), 125, "li 1 + div 24 cycles");
+        clock.budget = u64::MAX;
+        assert_eq!(interp.run_translated(&tp, 100, &mut clock), Ok(2));
+        assert!(interp.halted());
+        assert_eq!(interp.reg(Reg::X5), 126);
+        assert_eq!(clock.cycle, 128);
+    }
+
     #[test]
     fn unhandled_fault_is_the_same_error() {
         let mut asm = Asm::new();
@@ -630,6 +869,8 @@ mod tests {
         let mut reference = Interp::new(&p);
         let ref_err = reference.run(1000).expect_err("must fault");
         assert_eq!(err, ref_err);
+        // The fault is reported before the run ends with it.
+        assert_engines_agree(&p, 1000);
     }
 
     #[test]
@@ -643,6 +884,7 @@ mod tests {
             fast.run_translated(&tp, 10, &mut NoHooks),
             Err(InterpError::PcOutOfRange { pc: 1 })
         );
+        assert_engines_agree(&p, 10);
     }
 
     #[test]

@@ -35,9 +35,11 @@
 
 pub mod client;
 pub mod engine;
-pub mod json;
 pub mod protocol;
 pub mod server;
+
+/// The request reader, shared with the rest of the workspace.
+pub use nda_stats::json;
 
 pub use engine::{render_response, Engine, Outcome, Pending, ServeConfig};
 pub use protocol::{

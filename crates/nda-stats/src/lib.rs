@@ -12,12 +12,15 @@
 //!   confidence intervals over sampled execution; we run each workload as
 //!   several independently-seeded samples and aggregate with a
 //!   t-distribution interval.
+//! * [`json`] — the workspace's one JSON reader: `nda-serve` parses
+//!   requests with it and the trace exporters' tests check their output.
 //! * [`serve_names`] — the canonical `serve.*` metric names the
 //!   `nda-serve` request engine registers its health counters under.
 
 #![forbid(unsafe_code)]
 
 pub mod counters;
+pub mod json;
 pub mod registry;
 pub mod sampling;
 pub mod serve_names;

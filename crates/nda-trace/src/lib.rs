@@ -56,196 +56,6 @@ impl TraceFormat {
     }
 }
 
-/// Validate that `s` is one well-formed JSON value (RFC 8259 subset: no
-/// unicode-escape surrogate checking). Returns the byte offset and a
-/// message on the first error. Used by the exporter golden tests and the
-/// CI trace-smoke step; hand-rolled because the build environment has no
-/// registry access for serde.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => self.i += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(self.err("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,37 +67,5 @@ mod tests {
         assert_eq!(TraceFormat::parse("vcd"), None);
         assert_eq!(TraceFormat::Perfetto.extension(), "json");
         assert_eq!(TraceFormat::Konata.extension(), "log");
-    }
-
-    #[test]
-    fn validates_good_json() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            r#"{"a":[1,2,{"b":"c\n"}],"d":true}"#,
-            "  [ 1 , \"x\\u00ff\" ]  ",
-        ] {
-            assert!(validate_json(ok).is_ok(), "{ok}");
-        }
-    }
-
-    #[test]
-    fn rejects_bad_json() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "01x",
-            "\"unterminated",
-            "{} trailing",
-            "[1 2]",
-            "1.",
-            "\"bad\\q\"",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
     }
 }

@@ -210,7 +210,7 @@ mod tests {
         sink.finish();
         assert_eq!(sink.defer_slices, 1);
         let json = sink.into_json();
-        crate::validate_json(&json).unwrap();
+        nda_stats::json::Json::parse(&json).unwrap();
         assert!(json.contains(r#""cat":"nda-defer""#), "{json}");
         assert!(json.contains(r#""dur":8"#), "{json}");
         assert!(json.contains(r#""fate":"commit""#), "{json}");
@@ -235,7 +235,7 @@ mod tests {
         sink.event(&ev(6, 5, TraceStage::Dispatch));
         sink.event(&ev(9, 5, TraceStage::Commit));
         let json = sink.into_json();
-        crate::validate_json(&json).unwrap();
+        nda_stats::json::Json::parse(&json).unwrap();
         assert!(json.contains(r#""fate":"squash""#), "{json}");
         assert!(json.contains(r#""fate":"commit""#), "{json}");
     }
@@ -246,7 +246,7 @@ mod tests {
         sink.event(&ev(1, 0, TraceStage::Dispatch));
         sink.event(&ev(50, 1, TraceStage::Dispatch));
         let json = sink.into_json();
-        crate::validate_json(&json).unwrap();
+        nda_stats::json::Json::parse(&json).unwrap();
         assert_eq!(json.matches(r#""fate":"in-flight""#).count(), 2);
     }
 
@@ -257,6 +257,6 @@ mod tests {
         e.disasm = "weird \"quoted\"\ninst".to_string();
         sink.event(&e);
         let json = sink.into_json();
-        crate::validate_json(&json).unwrap();
+        nda_stats::json::Json::parse(&json).unwrap();
     }
 }

@@ -12,7 +12,8 @@
 
 use nda_core::{run_with_config, OooCore, SimConfig, Variant};
 use nda_isa::{Asm, Program, Reg};
-use nda_trace::{validate_json, KonataSink, PerfettoSink};
+use nda_stats::json::Json;
+use nda_trace::{KonataSink, PerfettoSink};
 
 /// A tiny fixed workload: one cold miss, a store→load forward, one
 /// data-dependent branch the predictor gets wrong, and an ALU chain.
@@ -59,7 +60,7 @@ fn perfetto_golden_snapshot() {
     let mut sink = PerfettoSink::new();
     core.run_with_sink(100_000, &mut sink).unwrap();
     let json = sink.into_json();
-    validate_json(&json).expect("exporter must emit well-formed JSON");
+    Json::parse(&json).expect("exporter must emit well-formed JSON");
     for track in ["uops", "nda-defer", "cache", "predictor", "squash"] {
         assert!(json.contains(&format!("\"name\":\"{track}\"")), "{track}");
     }

@@ -267,7 +267,7 @@ fn variant_state(
             let mut c = nda_core::InOrderCore::new(cfg, program);
             let r = c.run(MAX_CYCLES).map_err(|e| e.to_string())?;
             let scratch = (0..SCRATCH_WORDS)
-                .map(|k| c.mem.read(SCRATCH_BASE + 8 * k, 8))
+                .map(|k| c.mem().read(SCRATCH_BASE + 8 * k, 8))
                 .collect();
             Ok(ArchState {
                 regs: r.regs,
@@ -351,7 +351,7 @@ fn sampled_variant_state(
             c.restore_checkpoint(&ckpt.interp, &ckpt.hier);
             let r = c.run(MAX_CYCLES).map_err(|e| e.to_string())?;
             let scratch = (0..SCRATCH_WORDS)
-                .map(|k| c.mem.read(SCRATCH_BASE + 8 * k, 8))
+                .map(|k| c.mem().read(SCRATCH_BASE + 8 * k, 8))
                 .collect();
             Ok(ArchState {
                 regs: r.regs,

@@ -69,7 +69,7 @@ fn variant_state_with_mem(v: Variant, program: &Program) -> ArchState {
             let mut c = nda_core::InOrderCore::new(cfg, program);
             let r = c.run(MAX_CYCLES).unwrap_or_else(|e| panic!("{v}: {e}"));
             let scratch = (0..64)
-                .map(|k| c.mem.read(SCRATCH_BASE + 8 * k, 8))
+                .map(|k| c.mem().read(SCRATCH_BASE + 8 * k, 8))
                 .collect();
             ArchState {
                 regs: r.regs,

@@ -52,6 +52,7 @@ fn isa_errors_format_every_variant() {
     assert!(audit(&DecodeError::BadRegister(99)).contains("99"));
     assert!(audit(&DecodeError::BadSubcode(77)).contains("77"));
     assert!(audit(&DecodeError::BadMagic).contains("magic"));
+    assert!(audit(&DecodeError::AddressOverflow).contains("overflows"));
 
     assert!(audit(&InterpError::PcOutOfRange { pc: 123 }).contains("123"));
     assert!(audit(&InterpError::UnhandledFault(Fault::PrivilegedAccess {
