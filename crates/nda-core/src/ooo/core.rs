@@ -10,7 +10,7 @@
 //!    squash on memory-order violation); update the BTB speculatively.
 //! 3. **restriction** — compute the cycle's speculation [`Shadow`] and run
 //!    the active [`Defense`]'s bookkeeping: NDA's shadow log (§5), STT's
-//!    taint walk, or InvisiSpec exposure.
+//!    untaint frontier, or InvisiSpec exposure.
 //! 4. **broadcast** — port-limited tag broadcast from the queue of
 //!    completed entries; completing instructions have priority, newly-safe
 //!    deferred broadcasts take leftover ports. Each broadcast wakes the
@@ -56,8 +56,12 @@ pub struct OooCore {
     pub(crate) free: FreeList,
     pub(crate) rename: RenameTable,
     pub(crate) rob: Rob,
-    /// Dispatched-but-unissued sequence numbers, ascending.
-    pub(crate) iq: Vec<u64>,
+    /// The issue queue: dispatched sequence numbers in age order, trimmed
+    /// only at the front. Its front is the oldest un-issued entry; entries
+    /// issued out of order stay until they reach the front.
+    pub(crate) iq: VecDeque<u64>,
+    /// Issue-queue occupancy: the un-issued entries in `iq`.
+    pub(crate) iq_len: usize,
     /// The issue-queue entries whose sources are all visible, ascending:
     /// the only entries `issue` looks at.
     pub(crate) ready: Vec<u64>,
@@ -104,10 +108,10 @@ pub struct OooCore {
     pub(crate) yrot: Vec<u64>,
     /// Per register, the sequence number of its latest producer.
     producer: Vec<u64>,
-    /// STT only: each register's taint bit, rebuilt by the walk, and last
-    /// cycle's image of it, through which an untaint ripples.
-    pub(crate) stt_taint: Vec<bool>,
-    taint_prev: Vec<bool>,
+    /// STT only: the taint bits, kept from a frontier (empty otherwise).
+    pub(crate) stt: TaintFrontier,
+    /// The invariant checker's STT oracle (see `invariants::ripple_taint`).
+    pub(crate) taint_walk: super::invariants::TaintWalk,
     /// The broadcast queue: ascending sequence numbers of the completed,
     /// not yet broadcast entries with a destination.
     pub(crate) bq: Vec<u64>,
@@ -171,7 +175,8 @@ impl OooCore {
             free: FreeList::new(cfg.core.num_pregs),
             rename: RenameTable::new(),
             rob: Rob::new(cfg.core.rob_entries),
-            iq: Vec::new(),
+            iq: VecDeque::new(),
+            iq_len: 0,
             ready: Vec::new(),
             waiters: vec![Vec::new(); n],
             lq: Vec::new(),
@@ -194,8 +199,8 @@ impl OooCore {
             shadow_log: VecDeque::new(),
             yrot: vec![0; n],
             producer: vec![0; n],
-            stt_taint: vec![false; stt_n],
-            taint_prev: vec![false; stt_n],
+            stt: TaintFrontier::new(stt_n),
+            taint_walk: Default::default(),
             bq: Vec::with_capacity(cfg.core.rob_entries),
             spec_window: false,
             specoff_pending: 0,
@@ -466,7 +471,7 @@ impl OooCore {
             rob_capacity: self.cfg.core.rob_entries,
             head,
             iq_ready,
-            iq_waiting: self.iq.len() - iq_ready,
+            iq_waiting: self.iq_len - iq_ready,
             lq_occupancy: self.lq.len(),
             sq_occupancy: self.sq.len(),
             free_pregs: self.free.available(),
@@ -628,9 +633,7 @@ impl OooCore {
                 // A committed value is untainted by definition (STT's image
                 // keeps last cycle's bit: the untaint still ripples).
                 self.yrot[prd as usize] = 0;
-                if let Some(t) = self.stt_taint.get_mut(prd as usize) {
-                    *t = false;
-                }
+                self.stt.clear_committed(prd);
                 // Tag broadcast at retirement is always permitted: the head
                 // of the ROB is non-speculative by definition (paper §4.3).
                 if !e.broadcasted {
@@ -922,8 +925,8 @@ impl OooCore {
 
     /// Compute this cycle's [`Shadow`] and run the active defense's
     /// bookkeeping. NDA's and ShadowBinding's restrictions are compares
-    /// against the shadow where they are read; only STT's propagated
-    /// untaint walks the ROB.
+    /// against the shadow where they are read; STT's propagated untaint
+    /// steps its frontier.
     fn restrict(&mut self) {
         let defense = self.cfg.defense;
         if defense == Defense::None {
@@ -936,7 +939,7 @@ impl OooCore {
             Defense::GateTransmit {
                 border,
                 propagated_untaint: true,
-            } => self.ripple_taint(border),
+            } => self.stt.advance(&self.rob, &self.lq, &self.shadow, border),
             _ => {}
         }
     }
@@ -1009,24 +1012,6 @@ impl OooCore {
         self.is_safe(e) && (extra == 0 || self.safe_since(e) + extra <= self.cycle)
     }
 
-    /// STT's propagated untaint: rebuild every in-flight destination's
-    /// taint bit, oldest first (producers precede consumers, so one pass is
-    /// the closure). OR-ing in last cycle's image makes an untaint ripple
-    /// one dependency level per cycle, which no root bound at dispatch can
-    /// time (DESIGN §17.1).
-    fn ripple_taint(&mut self, border: Border) {
-        let shadow = self.shadow;
-        let (taint, prev) = (&mut self.stt_taint, &mut self.taint_prev);
-        for e in self.rob.iter() {
-            let Some(prd) = e.prd else { continue };
-            let mut srcs = e.src_pregs.iter().flatten();
-            let inherited = srcs.any(|&p| taint[p as usize] || prev[p as usize]);
-            taint[prd as usize] =
-                inherited || (e.inst.is_load_like() && shadow.covers(border, e.seq));
-        }
-        prev.copy_from_slice(taint);
-    }
-
     /// InvisiSpec: expose every completed probe load the border has passed.
     /// Probes are loads, and a border's shadow is a suffix of the ROB, so
     /// the walk covers the load queue only up to the first load in the
@@ -1082,13 +1067,14 @@ impl OooCore {
     }
 
     /// `true` while the transmit gate treats `p` as tainted: its YRoT is
-    /// in the border's shadow (flash untaint), or STT's walk set its bit.
+    /// in the border's shadow (flash untaint), or STT's frontier set its
+    /// bit.
     pub(crate) fn tainted(&self, p: PReg) -> bool {
         match self.cfg.defense {
             Defense::GateTransmit {
                 propagated_untaint: true,
                 ..
-            } => self.stt_taint[p as usize],
+            } => self.stt.bits[p as usize],
             Defense::GateTransmit { border, .. } => {
                 self.shadow.covers(border, self.yrot[p as usize])
             }
@@ -1267,11 +1253,7 @@ impl OooCore {
             self.stats.issue_active_cycles += 1;
             self.stats.issued_insts += issued_idx.len() as u64;
             self.stats.dispatch_to_issue_total += dispatch_to_issue;
-            for &i in &issued_idx {
-                let seq = self.ready[i];
-                let at = self.iq.binary_search(&seq).expect("ready entry is queued");
-                self.iq.remove(at);
-            }
+            self.iq_len -= issued_idx.len();
             // Ordered in-place compaction (preserves age order — swap-removal
             // would reorder the list and change scheduling).
             let mut next = 0;
@@ -1285,6 +1267,13 @@ impl OooCore {
                 w += 1;
             }
             self.ready.truncate(w);
+            // Trim the issued entries that now lead the issue queue.
+            while let Some(&seq) = self.iq.front() {
+                if !self.rob.get(seq).is_some_and(|e| e.issued) {
+                    break;
+                }
+                self.iq.pop_front();
+            }
         }
         self.scratch_issued_idx = issued_idx;
     }
@@ -1575,7 +1564,7 @@ impl OooCore {
                 self.dispatch_block = Some(DispatchBlock::Rob);
                 break;
             }
-            if self.iq.len() >= self.cfg.core.iq_entries {
+            if self.iq_len >= self.cfg.core.iq_entries {
                 self.dispatch_block = Some(DispatchBlock::Iq);
                 break;
             }
@@ -1679,7 +1668,8 @@ impl OooCore {
                 self.sq.push(seq);
             }
             if enqueue {
-                self.iq.push(seq);
+                self.iq.push_back(seq);
+                self.iq_len += 1;
                 for &p in e.src_pregs.iter().flatten() {
                     if !self.prf.is_visible(p) {
                         e.waiting += 1;
@@ -1712,16 +1702,13 @@ impl OooCore {
         while let Some(e) = self.rob.pop_tail_from(min_seq) {
             any = true;
             ras_cut = e.ras_after.or(ras_cut);
-            if e.waiting > 0 {
-                // Waiter lists are ascending, and sequence numbers from
-                // `min_seq` on are reused: pop every squashed waiter.
-                for &p in e.src_pregs.iter().flatten() {
-                    let waiters = &mut self.waiters[p as usize];
-                    while waiters.last().is_some_and(|&s| s >= min_seq) {
-                        waiters.pop();
-                    }
-                }
+            if !e.issued && !e.completed {
+                self.iq_len -= 1;
             }
+            if e.waiting > 0 {
+                pop_squashed(&mut self.waiters, &e, min_seq);
+            }
+            pop_squashed(&mut self.stt.consumers, &e, min_seq);
             if e.issued {
                 self.stats.wrong_path_executed += 1;
             }
@@ -1747,7 +1734,8 @@ impl OooCore {
             if let Some(slot) = ras_cut {
                 self.fe.ras_snaps.truncate(slot);
             }
-            self.iq.retain(|&s| s < min_seq);
+            let queued = self.iq.partition_point(|&s| s < min_seq);
+            self.iq.truncate(queued);
             let ready = self.ready.partition_point(|&s| s < min_seq);
             self.ready.truncate(ready);
             self.lq.retain(|&s| s < min_seq);
@@ -1758,6 +1746,7 @@ impl OooCore {
             // Sequence numbers name ROB slots; after a squash the next
             // dispatch reuses the numbering so the ROB stays contiguous.
             self.next_seq = min_seq;
+            self.stt.rewind(min_seq);
             self.stats.squashes += 1;
         }
     }
@@ -1766,10 +1755,7 @@ impl OooCore {
     /// register must not inherit its previous owner's root or image.
     fn forget_taint(&mut self, p: PReg) {
         self.yrot[p as usize] = 0;
-        if !self.stt_taint.is_empty() {
-            self.stt_taint[p as usize] = false;
-            self.taint_prev[p as usize] = false;
-        }
+        self.stt.forget(p);
     }
 
     // ------------------------------------------------------------------
@@ -1860,7 +1846,7 @@ impl OooCore {
             // oldest un-issued micro-op is woken up but its transmit
             // operand is tainted.
             Defense::GateTransmit { .. } => {
-                let Some(e) = self.iq.first().and_then(|&seq| self.rob.get(seq)) else {
+                let Some(e) = self.iq.front().and_then(|&seq| self.rob.get(seq)) else {
                     return false;
                 };
                 return e.waiting == 0 && self.taint_gated(e);
@@ -1887,7 +1873,7 @@ impl OooCore {
         }
         // The oldest un-issued micro-op: ready except for deferred
         // broadcasts?
-        let Some(&seq) = self.iq.first() else {
+        let Some(&seq) = self.iq.front() else {
             return false;
         };
         let Some(e) = self.rob.get(seq) else {
@@ -1996,6 +1982,160 @@ enum DispatchBlock {
 /// CPI-stack class for a memory access serviced at `level` (unknown levels
 /// — e.g. a load that has not issued yet — charge the cheapest, so the
 /// expensive classes are never over-stated).
+/// STT's propagated untaint (DESIGN §17.1), kept from a frontier instead
+/// of a walk of the whole ROB.
+///
+/// The rule: a walked destination is tainted iff its micro-op is a
+/// load-like one in the border's shadow, or a source register is tainted
+/// now or was at the last restriction stage (its image, `prev`), so an
+/// untaint ripples one dependency level per cycle. An entry is walked from
+/// the restriction stage after its dispatch on, and a commit clears its
+/// destination at once. A walked bit never rises, so only three things
+/// can clear one: the border passing a load, a source that cleared last
+/// cycle, and a commit. Each cycle re-applies the rule to exactly those
+/// entries, and walks the entries dispatched since the last cycle.
+/// `invariants.rs` keeps the whole-ROB walk as the oracle the frontier is
+/// checked against.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaintFrontier {
+    /// Per register, its taint bit.
+    pub(crate) bits: Vec<bool>,
+    /// Per register, its bit as of the last restriction stage.
+    prev: Vec<bool>,
+    /// Per register, the walked consumers (ascending, once per source
+    /// slot) that it or its image kept tainted when they were walked.
+    /// Drained when the register clears; squash pops its numbers.
+    consumers: Vec<Vec<u64>>,
+    /// Registers whose bit cleared at the last restriction stage or at a
+    /// commit before it: their consumers are this cycle's worklist.
+    cleared_last: Vec<PReg>,
+    /// Registers whose bit cleared this cycle.
+    cleared_now: Vec<PReg>,
+    /// The oldest sequence number not yet walked.
+    walked: u64,
+    /// The border's sequence number at the last restriction stage.
+    border: u64,
+}
+
+impl TaintFrontier {
+    /// A frontier over `n` registers (0 when the defense is not STT).
+    fn new(n: usize) -> TaintFrontier {
+        TaintFrontier {
+            bits: vec![false; n],
+            prev: vec![false; n],
+            consumers: vec![Vec::new(); n],
+            border: u64::MAX,
+            ..TaintFrontier::default()
+        }
+    }
+
+    /// The rule of DESIGN §17.1 for one walked entry.
+    fn rule(&self, e: &RobEntry, shadow: &Shadow, border: Border) -> bool {
+        let mut srcs = e.src_pregs.iter().flatten();
+        srcs.any(|&p| self.bits[p as usize] || self.prev[p as usize])
+            || (e.inst.is_load_like() && shadow.covers(border, e.seq))
+    }
+
+    /// Re-apply the rule to walked entry `seq`, recording a clear. A stale
+    /// sequence number (a committed consumer's, or one reused since) is
+    /// skipped or re-derived: the rule is exact for any walked entry.
+    fn recheck(&mut self, rob: &Rob, seq: u64, shadow: &Shadow, border: Border) {
+        if seq >= self.walked {
+            return;
+        }
+        let Some(e) = rob.get(seq) else { return };
+        let Some(prd) = e.prd else { return };
+        if self.bits[prd as usize] && !self.rule(e, shadow, border) {
+            self.bits[prd as usize] = false;
+            self.cleared_now.push(prd);
+        }
+    }
+
+    /// The restriction stage's step: clear what this cycle clears, then
+    /// walk the entries dispatched since the last one, oldest first.
+    fn advance(&mut self, rob: &Rob, lq: &[u64], shadow: &Shadow, border: Border) {
+        let last = std::mem::take(&mut self.cleared_last);
+        for &p in &last {
+            let mut consumers = std::mem::take(&mut self.consumers[p as usize]);
+            for seq in consumers.drain(..) {
+                self.recheck(rob, seq, shadow, border);
+            }
+            // Hand the emptied list back so its capacity is reused.
+            self.consumers[p as usize] = consumers;
+        }
+        // The loads the border passed this cycle (none if it moved back,
+        // which only a fault's rewind of the sequence numbers does).
+        let now = shadow.border(border);
+        let lo = lq.partition_point(|&s| s <= self.border);
+        let hi = lq.partition_point(|&s| s <= now);
+        for &seq in lq.get(lo..hi).unwrap_or_default() {
+            self.recheck(rob, seq, shadow, border);
+        }
+        self.border = now;
+        let mut seq = self.walked.max(rob.head().map_or(u64::MAX, |e| e.seq));
+        while let Some(e) = rob.get(seq) {
+            if let Some(prd) = e.prd {
+                let tainted = self.rule(e, shadow, border);
+                // Nothing reads the fresh register's image this cycle
+                // except younger fresh consumers, which read its bit too.
+                self.bits[prd as usize] = tainted;
+                self.prev[prd as usize] = tainted;
+                if tainted {
+                    for &p in e.src_pregs.iter().flatten() {
+                        if self.bits[p as usize] || self.prev[p as usize] {
+                            self.consumers[p as usize].push(seq);
+                        }
+                    }
+                }
+            }
+            seq += 1;
+            self.walked = seq;
+        }
+        for &p in &self.cleared_now {
+            self.prev[p as usize] = false;
+        }
+        self.cleared_last = std::mem::replace(&mut self.cleared_now, last);
+        self.cleared_now.clear();
+    }
+
+    /// A retiring destination: clear its bit now, its image at the next
+    /// restriction stage.
+    fn clear_committed(&mut self, p: PReg) {
+        if let Some(bit) = self.bits.get_mut(p as usize) {
+            if std::mem::take(bit) {
+                self.cleared_now.push(p);
+            }
+        }
+    }
+
+    /// A register being freed by a squash or reallocated: no bit, no image.
+    fn forget(&mut self, p: PReg) {
+        if !self.bits.is_empty() {
+            self.bits[p as usize] = false;
+            self.prev[p as usize] = false;
+        }
+    }
+
+    /// After a squash from `min_seq`: the reused numbers are not walked.
+    fn rewind(&mut self, min_seq: u64) {
+        self.walked = self.walked.min(min_seq);
+    }
+}
+
+/// Squashed entry `e`: pop the squashed sequence numbers (every one from
+/// `min_seq` on, which dispatch will reuse) off the ascending per-register
+/// lists of its sources (the waiter or the taint consumer lists; none when
+/// `lists` is empty).
+fn pop_squashed(lists: &mut [Vec<u64>], e: &RobEntry, min_seq: u64) {
+    for &p in e.src_pregs.iter().flatten() {
+        if let Some(list) = lists.get_mut(p as usize) {
+            while list.last().is_some_and(|&s| s >= min_seq) {
+                list.pop();
+            }
+        }
+    }
+}
+
 fn mem_class(level: Option<nda_mem::Level>) -> CpiClass {
     match level {
         Some(nda_mem::Level::L2) => CpiClass::MemL2,

@@ -14,8 +14,10 @@
 //!   entries and then the queued micro-ops, in fetch order.
 //! * **LSQ order** — the load and store queues are exactly the program-
 //!   ordered projections of the ROB's loads and stores.
-//! * **IQ consistency** — the issue queue holds exactly the dispatched-
-//!   but-unissued, not-yet-complete entries.
+//! * **IQ consistency** — the issue queue's occupancy count is the number
+//!   of dispatched-but-unissued, not-yet-complete entries, its un-issued
+//!   entries are exactly those, in age order, and its front is the oldest
+//!   of them.
 //! * **Ready consistency** — each entry's wake-up count is its number of
 //!   invisible source slots, each register's waiter list is exactly the
 //!   ascending unissued consumers still waiting on it, and the ready list
@@ -27,8 +29,10 @@
 //!   broadcast queue is exactly the ascending set of completed entries
 //!   with a destination that have not broadcast.
 //! * **Taint gate** — only in-flight destinations carry a youngest root of
-//!   taint, a load roots its own, STT's walk is never cleaner than the
-//!   flash rule, and no transmitter issued on a tainted transmit operand.
+//!   taint, a load roots its own, STT's bits are never cleaner than the
+//!   flash rule and equal the whole-ROB walk's (the oracle for the
+//!   frontier that keeps them), and no transmitter issued on a tainted
+//!   transmit operand.
 //!
 //! Violations are reported as structured [`InvariantViolation`] values
 //! (surfaced as [`SimError::InvariantViolation`](crate::SimError)), never
@@ -115,9 +119,18 @@ impl fmt::Display for InvariantViolation {
 impl std::error::Error for InvariantViolation {}
 
 /// Validate every invariant; on the first failure, capture a snapshot and
-/// return the structured violation.
+/// return the structured violation. Must run after every cycle for the
+/// taint oracle to compare (it steps its own walk once per check).
 pub(crate) fn check(core: &mut OooCore) -> Result<(), Box<InvariantViolation>> {
-    if let Some((kind, detail)) = find_violation(core) {
+    let walk = ripple_taint(core);
+    let found = find_violation(
+        core,
+        walk.as_ref().and_then(|w| w.compare.then_some(&w.bits[..])),
+    );
+    if let Some(walk) = walk {
+        core.taint_walk = walk;
+    }
+    if let Some((kind, detail)) = found {
         return Err(Box::new(InvariantViolation {
             cycle: core.cycle(),
             kind,
@@ -129,15 +142,79 @@ pub(crate) fn check(core: &mut OooCore) -> Result<(), Box<InvariantViolation>> {
 }
 
 /// The pure part of the checker: scan the core and name the first broken
-/// law, if any.
-fn find_violation(core: &OooCore) -> Option<(InvariantKind, String)> {
+/// law, if any. `walk` is this cycle's STT oracle, when there is one.
+fn find_violation(core: &OooCore, walk: Option<&[bool]>) -> Option<(InvariantKind, String)> {
     check_preg_conservation(core)
         .or_else(|| check_rob_order(core))
         .or_else(|| check_lsq_order(core))
         .or_else(|| check_iq_consistency(core))
         .or_else(|| check_ready_consistency(core))
         .or_else(|| check_nda_safety(core))
-        .or_else(|| check_taint_gate(core))
+        .or_else(|| check_taint_gate(core, walk))
+}
+
+/// The `TaintGate` oracle's state: the whole-ROB walk's taint bits at the
+/// last checked cycle.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaintWalk {
+    /// `core.cycle()` when the bits were taken.
+    cycle: u64,
+    /// Per register, the walk's bit (empty: none tainted).
+    bits: Vec<bool>,
+    /// The bits are the walk's, stepped from the walk's own image of the
+    /// cycle before (not seeded from the frontier after a gap).
+    compare: bool,
+}
+
+/// STT's propagated untaint as a walk of the whole ROB (DESIGN §17.1), the
+/// oracle for the core's frontier. It rebuilds the bit of every entry the
+/// restriction stage of the cycle just stepped saw (those dispatched
+/// before it), oldest first: producers precede consumers, so one pass is
+/// the closure. A destination is tainted if its load-like micro-op is in
+/// the border's shadow, or a source is tainted now or was in the walk of
+/// the cycle before, so an untaint ripples one dependency level per cycle.
+/// A committed register reads untainted now but keeps last cycle's bit.
+///
+/// `None` unless STT is on and the cycle ran its restriction stage. When
+/// the last check was not the cycle before, there is no image to step
+/// from: the frontier's bits seed the next cycle's walk instead.
+fn ripple_taint(core: &OooCore) -> Option<TaintWalk> {
+    let Defense::GateTransmit {
+        border,
+        propagated_untaint: true,
+    } = core.cfg.defense
+    else {
+        return None;
+    };
+    if core.halted() {
+        return None;
+    }
+    let (now, last) = (core.cycle(), &core.taint_walk);
+    if last.cycle + 1 != now {
+        let bits = core.stt.bits.clone();
+        return Some(TaintWalk {
+            cycle: now,
+            bits,
+            compare: false,
+        });
+    }
+    let prev = |p: usize| last.bits.get(p).copied().unwrap_or(false);
+    let mut bits = vec![false; core.prf.len()];
+    for e in core.rob.iter() {
+        if e.dispatch_cycle + 1 >= now {
+            break;
+        }
+        let Some(prd) = e.prd else { continue };
+        let mut srcs = e.src_pregs.iter().flatten();
+        let inherited = srcs.any(|&p| bits[p as usize] || prev(p as usize));
+        bits[prd as usize] =
+            inherited || (e.inst.is_load_like() && core.shadow.covers(border, e.seq));
+    }
+    Some(TaintWalk {
+        cycle: now,
+        bits,
+        compare: true,
+    })
 }
 
 /// Free list ∪ committed architectural map ∪ in-flight ROB destinations
@@ -262,19 +339,48 @@ fn check_lsq_order(core: &OooCore) -> Option<(InvariantKind, String)> {
     None
 }
 
-/// The issue queue holds exactly the dispatched-but-unissued, incomplete
-/// entries, in age order.
+/// The issue queue counts exactly the dispatched-but-unissued, incomplete
+/// entries; it is ascending, and its un-issued entries are exactly those,
+/// the oldest at its front.
 fn check_iq_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
+    let unissued = |e: &super::rob::RobEntry| !e.issued && !e.completed;
     let want: Vec<u64> = core
         .rob
         .iter()
-        .filter(|e| !e.issued && !e.completed)
+        .filter(|e| unissued(e))
         .map(|e| e.seq)
         .collect();
-    if core.iq != want {
-        return Some((
-            InvariantKind::IqConsistency,
-            format!("iq {:?} but unissued rob entries are {:?}", core.iq, want),
+    let fail = |what: String| Some((InvariantKind::IqConsistency, what));
+    if core.iq_len != want.len() {
+        return fail(format!(
+            "iq counts {} entries but {} rob entries are unissued",
+            core.iq_len,
+            want.len()
+        ));
+    }
+    if core.iq.front() != want.first() {
+        return fail(format!(
+            "iq front is {:?} but the oldest unissued rob entry is {:?}",
+            core.iq.front(),
+            want.first()
+        ));
+    }
+    // Issued entries behind the front are still in flight: every older
+    // entry is un-issued and blocks their commit.
+    let in_flight = core.iq.iter().all(|&s| core.rob.get(s).is_some());
+    let queued = core.iq.iter().copied();
+    let held: Vec<u64> = queued
+        .filter(|&s| core.rob.get(s).is_some_and(unissued))
+        .collect();
+    let ascending = core
+        .iq
+        .iter()
+        .zip(core.iq.iter().skip(1))
+        .all(|(a, b)| a < b);
+    if !in_flight || !ascending || held != want {
+        return fail(format!(
+            "iq {:?} but unissued rob entries are {want:?}",
+            core.iq
         ));
     }
     None
@@ -378,9 +484,10 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
 /// transmit source can only mean the gate was bypassed). Taint is bound at
 /// rename: a register that is not an in-flight destination has no root of
 /// taint and no STT bit (taint drains with the ROB), no root is younger than
-/// its value, a load roots its own, and STT's walk never untaints a value
-/// the flash rule still taints.
-fn check_taint_gate(core: &OooCore) -> Option<(InvariantKind, String)> {
+/// its value, a load roots its own, STT never untaints a value the flash
+/// rule still taints, and STT's frontier has the bits of `walk`, the
+/// whole-ROB walk (when there is one this cycle).
+fn check_taint_gate(core: &OooCore, walk: Option<&[bool]>) -> Option<(InvariantKind, String)> {
     let fail = |e: &super::rob::RobEntry, what: String| {
         let at = format!("seq {} pc {} `{}`", e.seq, e.pc, e.inst);
         Some((InvariantKind::TaintGate, format!("{at} {what}")))
@@ -409,13 +516,20 @@ fn check_taint_gate(core: &OooCore) -> Option<(InvariantKind, String)> {
                     format!("left p{prd} untainted, root {root} in the shadow"),
                 );
             }
+            if let Some(walk) = walk {
+                let (frontier, want) = (core.stt.bits[prd as usize], walk[prd as usize]);
+                if frontier != want {
+                    let d = format!("has frontier taint {frontier} for p{prd}, the walk {want}");
+                    return fail(e, d);
+                }
+            }
         }
         let transmit = OooCore::transmit_slot(&e.inst).and_then(|slot| e.src_pregs[slot]);
         if let Some(p) = transmit.filter(|&p| e.issued && core.tainted(p)) {
             return fail(e, format!("issued with tainted transmit operand p{p}"));
         }
     }
-    let stale = |p: usize| core.yrot[p] != 0 || core.stt_taint.get(p) == Some(&true);
+    let stale = |p: usize| core.yrot[p] != 0 || core.stt.bits.get(p) == Some(&true);
     let p = (0..in_flight.len()).find(|&p| !in_flight[p] && stale(p))?;
     Some((
         InvariantKind::TaintGate,
@@ -481,6 +595,32 @@ mod tests {
     fn entry_dropped_from_ready_is_caught() {
         // While the cold load misses, the adds wait on it and each `li`
         // (no sources) is ready from dispatch.
+        let p = miss_shadow_program();
+        let mut core = crate::OooCore::new(checked_cfg(), &p);
+        run_until(&mut core, |c| {
+            !c.ready.is_empty() && c.waiters.iter().any(|w| !w.is_empty())
+        });
+        core.ready.remove(0);
+        let v = check(&mut core).unwrap_err();
+        assert_eq!(v.kind, InvariantKind::ReadyConsistency);
+        assert!(v.detail.starts_with("ready "), "detail: {}", v.detail);
+    }
+
+    /// Step `core` under the checker until `stop` holds.
+    fn run_until(core: &mut OooCore, stop: impl Fn(&OooCore) -> bool) {
+        loop {
+            assert!(!core.halted(), "the program never reached the state");
+            core.step_cycle();
+            check(core).expect("clean pipeline");
+            if stop(core) {
+                return;
+            }
+        }
+    }
+
+    /// While a cold load misses, adds wait on it and `li`s issue around
+    /// them, so the issue queue holds entries issued out of order.
+    fn miss_shadow_program() -> nda_isa::Program {
         let mut asm = Asm::new();
         asm.li(Reg::X2, 0x8000);
         asm.ld8(Reg::X3, Reg::X2, 0);
@@ -489,20 +629,66 @@ mod tests {
             asm.li(Reg::X5, 1);
         }
         asm.halt();
-        let p = asm.assemble().unwrap();
+        asm.assemble().unwrap()
+    }
+
+    #[test]
+    fn corrupted_issue_queue_count_or_front_is_caught() {
+        let p = miss_shadow_program();
         let mut core = crate::OooCore::new(checked_cfg(), &p);
-        loop {
-            assert!(!core.halted(), "never held a woken and a waiting entry");
-            core.step_cycle();
-            check(&mut core).expect("clean pipeline");
-            if !core.ready.is_empty() && core.waiters.iter().any(|w| !w.is_empty()) {
-                break;
-            }
-        }
-        core.ready.remove(0);
+        // An issued `li` stays queued behind the waiting adds.
+        run_until(&mut core, |c| c.iq.len() > c.iq_len && c.iq_len > 0);
+        let (good, front) = (core.clone(), core.iq[0]);
+        core.iq_len += 1;
         let v = check(&mut core).unwrap_err();
-        assert_eq!(v.kind, InvariantKind::ReadyConsistency);
-        assert!(v.detail.starts_with("ready "), "detail: {}", v.detail);
+        assert_eq!(v.kind, InvariantKind::IqConsistency);
+        assert!(v.detail.starts_with("iq counts"), "detail: {}", v.detail);
+        // Dropping the front hides the oldest un-issued entry.
+        let mut core = good.clone();
+        core.iq.pop_front();
+        core.iq_len -= 1;
+        let v = check(&mut core).unwrap_err();
+        assert_eq!(v.kind, InvariantKind::IqConsistency);
+        assert!(
+            v.detail.contains(&format!("{front}")),
+            "detail: {}",
+            v.detail
+        );
+        // An issued entry at the front is not trimmed.
+        let mut core = good;
+        let issued = *core
+            .iq
+            .iter()
+            .find(|&&s| core.rob.get(s).unwrap().issued)
+            .unwrap();
+        core.iq.push_front(issued);
+        let v = check(&mut core).unwrap_err();
+        assert_eq!(v.kind, InvariantKind::IqConsistency);
+        assert!(v.detail.starts_with("iq front"), "detail: {}", v.detail);
+    }
+
+    #[test]
+    fn frontier_bit_that_disagrees_with_the_walk_is_caught() {
+        let mut cfg = crate::SimConfig::for_variant(crate::Variant::SttSpectre);
+        cfg.check_invariants = true;
+        let p = miss_shadow_program();
+        let mut core = crate::OooCore::new(cfg, &p);
+        // Two entries walked by the restriction stage (dispatched before
+        // the last cycle), so the walk has a bit for both.
+        let walked = |c: &OooCore| {
+            c.rob
+                .iter()
+                .filter(|e| e.dispatch_cycle + 1 < c.cycle())
+                .count()
+        };
+        run_until(&mut core, |c| walked(c) >= 2);
+        core.step_cycle();
+        let e = core.rob.iter().find(|e| e.prd.is_some()).unwrap();
+        let prd = e.prd.unwrap() as usize;
+        core.stt.bits[prd] = !core.stt.bits[prd];
+        let v = check(&mut core).unwrap_err();
+        assert_eq!(v.kind, InvariantKind::TaintGate);
+        assert!(v.detail.contains("frontier taint"), "detail: {}", v.detail);
     }
 
     #[test]

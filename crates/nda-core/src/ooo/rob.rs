@@ -151,9 +151,19 @@ impl RobEntry {
 
 /// The reorder buffer: a bounded FIFO of [`RobEntry`]s addressed by
 /// sequence number.
+///
+/// The entries live in a power-of-two ring of slots, the entry with
+/// sequence number `s` in slot `s & mask`. In-flight sequence numbers are
+/// contiguous and fewer than the slots, so a lookup is one range compare
+/// against the head and one index. The ring grows to its full size as
+/// sequence numbers first reach each slot, so building a ROB writes none.
 #[derive(Debug, Clone, Default)]
 pub struct Rob {
-    entries: VecDeque<RobEntry>,
+    slots: Vec<RobEntry>,
+    mask: u64,
+    /// Sequence number of the oldest entry (meaningful while `len > 0`).
+    head: u64,
+    len: usize,
     capacity: usize,
     /// The in-flight branches' sequence numbers, ascending: a ring of the
     /// ROB's capacity, so it never grows.
@@ -165,8 +175,12 @@ pub struct Rob {
 impl Rob {
     /// An empty ROB with `capacity` entries.
     pub fn new(capacity: usize) -> Rob {
+        let slots = capacity.next_power_of_two();
         Rob {
-            entries: VecDeque::with_capacity(capacity),
+            slots: Vec::with_capacity(slots),
+            mask: slots as u64 - 1,
+            head: 0,
+            len: 0,
             capacity,
             branches: VecDeque::with_capacity(capacity),
             unresolved: 0,
@@ -175,17 +189,22 @@ impl Rob {
 
     /// Entries in flight.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when no entries are in flight.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// `true` when dispatch must stall.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.capacity
+    }
+
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     /// Append a dispatched entry.
@@ -195,35 +214,63 @@ impl Rob {
     /// Panics if full or if `seq` is not contiguous.
     pub fn push(&mut self, e: RobEntry) {
         assert!(!self.is_full(), "rob overflow");
-        if let Some(back) = self.entries.back() {
-            assert_eq!(back.seq + 1, e.seq, "non-contiguous rob sequence");
+        if self.len == 0 {
+            self.head = e.seq;
+        } else {
+            assert_eq!(
+                self.head + self.len as u64,
+                e.seq,
+                "non-contiguous rob sequence"
+            );
         }
         if e.inst.is_branch() {
             self.branches.push_back(e.seq);
         }
-        self.entries.push_back(e);
+        let at = self.slot(e.seq);
+        match at.cmp(&self.slots.len()) {
+            std::cmp::Ordering::Less => self.slots[at] = e,
+            std::cmp::Ordering::Equal => self.slots.push(e),
+            // A first sequence number past slot 0: fill the slots below
+            // it once (they are dead until the ring wraps onto them).
+            std::cmp::Ordering::Greater => {
+                self.slots.resize(at, e.clone());
+                self.slots.push(e);
+            }
+        }
+        self.len += 1;
     }
 
     /// The oldest entry.
     pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
+        self.get(self.head)
     }
 
     /// Entry by sequence number.
+    #[inline]
     pub fn get(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.entries.front()?.seq;
-        self.entries.get(seq.checked_sub(front)? as usize)
+        if seq.wrapping_sub(self.head) < self.len as u64 {
+            Some(&self.slots[self.slot(seq)])
+        } else {
+            None
+        }
     }
 
     /// Mutable entry by sequence number.
+    #[inline]
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let front = self.entries.front()?.seq;
-        self.entries.get_mut(seq.checked_sub(front)? as usize)
+        if seq.wrapping_sub(self.head) < self.len as u64 {
+            let at = self.slot(seq);
+            Some(&mut self.slots[at])
+        } else {
+            None
+        }
     }
 
     /// Pop the oldest entry (commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        let e = self.entries.pop_front()?;
+        let e = self.head()?.clone();
+        self.head += 1;
+        self.len -= 1;
         if self.branches.front() == Some(&e.seq) {
             self.branches.pop_front();
             self.unresolved = self.unresolved.saturating_sub(1);
@@ -234,10 +281,12 @@ impl Rob {
     /// Pop the youngest entry if `seq >= min_squash` (squash unwinding,
     /// tail first so rename recovery is LIFO).
     pub fn pop_tail_from(&mut self, min_squash: u64) -> Option<RobEntry> {
-        if self.entries.back()?.seq < min_squash {
+        let tail = self.head + self.len.checked_sub(1)? as u64;
+        if tail < min_squash {
             return None;
         }
-        let e = self.entries.pop_back()?;
+        let e = self.slots[self.slot(tail)].clone();
+        self.len -= 1;
         if self.branches.back() == Some(&e.seq) {
             self.branches.pop_back();
             self.unresolved = self.unresolved.min(self.branches.len());
@@ -262,7 +311,17 @@ impl Rob {
 
     /// Iterate oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
+        // The live slots are one run that may wrap past the last slot.
+        let start = self.slot(self.head);
+        let end = start + self.len;
+        let (first, wrapped) = if self.len == 0 {
+            (&self.slots[..0], 0)
+        } else if end <= self.slots.len() {
+            (&self.slots[start..end], 0)
+        } else {
+            (&self.slots[start..], end - self.slots.len())
+        };
+        first.iter().chain(self.slots[..wrapped].iter())
     }
 }
 
@@ -310,15 +369,22 @@ impl Shadow {
         }
     }
 
-    /// `true` if `seq` is younger than `border`.
+    /// The sequence number of `border`: the micro-ops younger than it are
+    /// in its shadow.
     #[inline]
-    pub(crate) fn covers(&self, border: Border, seq: u64) -> bool {
-        seq > match border {
+    pub(crate) fn border(&self, border: Border) -> u64 {
+        match border {
             Border::UnresolvedBranch => self.unresolved_branch,
             Border::Branch => self.branch,
             Border::Store => self.store,
             Border::Head => self.head,
         }
+    }
+
+    /// `true` if `seq` is younger than `border`.
+    #[inline]
+    pub(crate) fn covers(&self, border: Border, seq: u64) -> bool {
+        seq > self.border(border)
     }
 }
 
@@ -359,6 +425,106 @@ mod tests {
         // Squash-from-zero empties the ROB (fault delivery).
         while r.pop_tail_from(0).is_some() {}
         assert!(r.is_empty());
+    }
+
+    /// The live sequence numbers, read through `iter` and through `get`.
+    fn live(r: &Rob) -> Vec<u64> {
+        let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
+        for &s in &seqs {
+            assert_eq!(r.get(s).map(|e| e.seq), Some(s));
+        }
+        seqs
+    }
+
+    #[test]
+    fn building_the_ring_writes_no_slot() {
+        let r = Rob::new(192);
+        assert!(r.slots.is_empty());
+        assert_eq!(r.slots.capacity(), 256);
+        assert_eq!(r.mask, 255);
+    }
+
+    #[test]
+    fn entries_live_across_the_slot_wrap() {
+        let mut r = Rob::new(192);
+        for s in 0..192 {
+            r.push(entry(s));
+        }
+        // Commit 150, then dispatch past slot 255 onto slots 0, 1, ...
+        for s in 0..150 {
+            assert_eq!(r.pop_head().unwrap().seq, s);
+        }
+        for s in 192..300 {
+            r.push(entry(s));
+        }
+        assert_eq!(r.len(), 150);
+        assert_eq!(live(&r), (150..300).collect::<Vec<_>>());
+        assert_eq!(r.head().unwrap().seq, 150);
+        // Slot 255 and slot 0 hold neighbours.
+        assert_eq!(r.get(255).unwrap().seq, 255);
+        assert_eq!(r.get(256).unwrap().seq, 256);
+        r.get_mut(257).unwrap().pc = 7;
+        assert_eq!(r.get(257).unwrap().pc, 7);
+        assert_eq!(r.pop_tail_from(299).unwrap().seq, 299);
+        assert_eq!(live(&r), (150..299).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn squash_to_empty_then_redispatch_reuses_sequence_numbers() {
+        // Start past slot 0 and across the wrap.
+        let mut r = Rob::new(192);
+        for s in 250..262 {
+            r.push(RobEntry::new(s, 1, Inst::Jmp { target: 0 }, 0));
+        }
+        assert_eq!(r.branch_borders(), (250, 250));
+        while r.pop_tail_from(250).is_some() {}
+        assert!(r.is_empty());
+        assert!(r.head().is_none() && r.get(250).is_none());
+        assert_eq!(r.iter().count(), 0);
+        assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
+        for s in 250..260 {
+            r.push(RobEntry::new(s, 2, Inst::Nop, 0));
+        }
+        assert_eq!(live(&r), (250..260).collect::<Vec<_>>());
+        assert!(r.iter().all(|e| e.pc == 2 && e.inst == Inst::Nop));
+        assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
+        // A fault squashes from 0; numbering restarts at slot 0.
+        while r.pop_tail_from(0).is_some() {}
+        r.push(entry(0));
+        assert_eq!(live(&r), vec![0]);
+    }
+
+    #[test]
+    fn get_outside_the_live_range_is_none() {
+        let mut r = Rob::new(192);
+        for s in 40..60 {
+            r.push(entry(s));
+        }
+        r.pop_head();
+        let (head, len) = (41, r.len() as u64);
+        assert!(r.get(head - 1).is_none());
+        assert!(r.get(head).is_some());
+        assert!(r.get(head + len - 1).is_some());
+        assert!(r.get(head + len).is_none());
+        assert!(r.get_mut(head + len).is_none());
+        // A number one ring further on names a live slot but no entry.
+        assert!(r.get(head + 256).is_none());
+        assert!(r.get(u64::MAX).is_none());
+        assert!(Rob::new(192).get(0).is_none());
+    }
+
+    #[test]
+    fn full_at_capacity_not_at_the_slot_count() {
+        let mut r = Rob::new(192);
+        for s in 0..191 {
+            r.push(entry(s));
+        }
+        assert!(!r.is_full());
+        r.push(entry(191));
+        assert!(r.is_full());
+        assert_eq!(r.len(), 192);
+        r.pop_head();
+        assert!(!r.is_full());
     }
 
     #[test]

@@ -43,6 +43,14 @@ pub enum DecodeError {
     BadMagic,
     /// A delta-encoded code-pointer list sums past `u64::MAX`.
     AddressOverflow,
+    /// A varint does not fit its field: an MSR index past `u16`, or an
+    /// instruction index, count or length past `usize`.
+    OutOfRange {
+        /// The field being decoded.
+        field: &'static str,
+        /// The value the varint encodes.
+        value: u64,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -54,6 +62,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadSubcode(b) => write!(f, "sub-opcode {b} out of range"),
             DecodeError::BadMagic => write!(f, "bad program magic"),
             DecodeError::AddressOverflow => write!(f, "code-pointer address overflows 64 bits"),
+            DecodeError::OutOfRange { field, value } => write!(f, "{field} {value} out of range"),
         }
     }
 }
@@ -108,6 +117,16 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
             return Err(DecodeError::Truncated);
         }
     }
+}
+
+/// A varint narrowed to its field's type, refused if it does not fit.
+fn get_field<T: TryFrom<u64>>(
+    buf: &[u8],
+    pos: &mut usize,
+    field: &'static str,
+) -> Result<T, DecodeError> {
+    let value = get_varint(buf, pos)?;
+    T::try_from(value).map_err(|_| DecodeError::OutOfRange { field, value })
 }
 
 /// ZigZag for signed offsets.
@@ -372,17 +391,17 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Inst, DecodeError> {
                 cond,
                 rs1: get_reg(buf, pos)?,
                 rs2: get_reg(buf, pos)?,
-                target: get_varint(buf, pos)? as usize,
+                target: get_field(buf, pos, "branch target")?,
             }
         }
         OP_JMP => Inst::Jmp {
-            target: get_varint(buf, pos)? as usize,
+            target: get_field(buf, pos, "jump target")?,
         },
         OP_JMP_IND => Inst::JmpInd {
             base: get_reg(buf, pos)?,
         },
         OP_CALL => Inst::Call {
-            target: get_varint(buf, pos)? as usize,
+            target: get_field(buf, pos, "call target")?,
         },
         OP_CALL_IND => Inst::CallInd {
             base: get_reg(buf, pos)?,
@@ -393,7 +412,7 @@ pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Inst, DecodeError> {
         },
         OP_RDMSR => Inst::RdMsr {
             rd: get_reg(buf, pos)?,
-            idx: get_varint(buf, pos)? as u16,
+            idx: get_field(buf, pos, "msr index")?,
         },
         OP_CLFLUSH => Inst::ClFlush {
             base: get_reg(buf, pos)?,
@@ -477,54 +496,58 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
         return Err(DecodeError::BadMagic);
     }
     let mut pos = 4;
-    let entry = get_varint(buf, &mut pos)? as usize;
+    let entry = get_field(buf, &mut pos, "entry")?;
     let text_base = get_varint(buf, &mut pos)?;
     let has_handler = *buf.get(pos).ok_or(DecodeError::Truncated)?;
     pos += 1;
     let fault_handler = if has_handler != 0 {
-        Some(get_varint(buf, &mut pos)? as usize)
+        Some(get_field(buf, &mut pos, "fault handler")?)
     } else {
         None
     };
-    let n = get_varint(buf, &mut pos)? as usize;
+    let n: usize = get_field(buf, &mut pos, "instruction count")?;
     let mut insts = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         insts.push(decode(buf, &mut pos)?);
     }
-    let nd = get_varint(buf, &mut pos)? as usize;
+    let nd: usize = get_field(buf, &mut pos, "data count")?;
     let mut data = Vec::with_capacity(nd.min(1 << 16));
     for _ in 0..nd {
         let addr = get_varint(buf, &mut pos)?;
-        let len = get_varint(buf, &mut pos)? as usize;
+        let len: usize = get_field(buf, &mut pos, "data length")?;
         let end = pos.checked_add(len).ok_or(DecodeError::Truncated)?;
         let bytes = buf.get(pos..end).ok_or(DecodeError::Truncated)?.to_vec();
         pos = end;
         data.push(DataInit { addr, bytes });
     }
-    let nm = get_varint(buf, &mut pos)? as usize;
+    let nm: usize = get_field(buf, &mut pos, "msr value count")?;
     let mut msr_values = Vec::with_capacity(nm.min(1 << 16));
     for _ in 0..nm {
-        let idx = get_varint(buf, &mut pos)? as u16;
+        let idx = get_field(buf, &mut pos, "msr index")?;
         let v = get_varint(buf, &mut pos)?;
         msr_values.push((idx, v));
     }
-    let no = get_varint(buf, &mut pos)? as usize;
+    let no: usize = get_field(buf, &mut pos, "msr user-ok count")?;
     let mut msr_user_ok = Vec::with_capacity(no.min(1 << 16));
     for _ in 0..no {
-        msr_user_ok.push(get_varint(buf, &mut pos)? as u16);
+        msr_user_ok.push(get_field(buf, &mut pos, "msr index")?);
     }
-    let nc = get_varint(buf, &mut pos)? as usize;
+    let nc: usize = get_field(buf, &mut pos, "code-pointer count")?;
     let mut code_ptr_lis = Vec::with_capacity(nc.min(1 << 16));
     let mut prev = 0u64;
     for _ in 0..nc {
         prev = next_address(prev, buf, &mut pos)?;
-        code_ptr_lis.push(prev as usize);
+        let pc = usize::try_from(prev).map_err(|_| DecodeError::OutOfRange {
+            field: "code pointer",
+            value: prev,
+        })?;
+        code_ptr_lis.push(pc);
     }
     // Trailing section added after the first format revision: files
     // written by older encoders simply end here.
     let mut code_ptr_words = Vec::new();
     if pos < buf.len() {
-        let nw = get_varint(buf, &mut pos)? as usize;
+        let nw: usize = get_field(buf, &mut pos, "code-pointer word count")?;
         code_ptr_words.reserve(nw.min(1 << 16));
         let mut prev = 0u64;
         for _ in 0..nw {
@@ -713,6 +736,77 @@ mod tests {
         }
     }
 
+    /// `RdMsr x1, idx` as bytes.
+    fn rdmsr_bytes(idx: u64) -> Vec<u8> {
+        let mut bytes = vec![OP_RDMSR, 1];
+        put_varint(&mut bytes, idx);
+        bytes
+    }
+
+    #[test]
+    fn rdmsr_index_past_u16_is_refused_not_narrowed() {
+        for idx in [65_536, 65_538, u64::MAX] {
+            let mut pos = 0;
+            assert_eq!(
+                decode(&rdmsr_bytes(idx), &mut pos),
+                Err(DecodeError::OutOfRange {
+                    field: "msr index",
+                    value: idx
+                })
+            );
+        }
+    }
+
+    /// A one-instruction program with one MSR value and one user-ok entry.
+    fn msr_table_bytes(value_idx: u64, user_ok_idx: u64) -> Vec<u8> {
+        let mut bytes = header_and_text();
+        put_varint(&mut bytes, 0); // no data
+        put_varint(&mut bytes, 1);
+        put_varint(&mut bytes, value_idx);
+        put_varint(&mut bytes, 7);
+        put_varint(&mut bytes, 1);
+        put_varint(&mut bytes, user_ok_idx);
+        put_varint(&mut bytes, 0); // no code-pointer Li's
+        put_varint(&mut bytes, 0); // no code-pointer words
+        bytes
+    }
+
+    #[test]
+    fn msr_table_indices_past_u16_are_refused_not_narrowed() {
+        for (values, user_ok) in [(65_538, 1), (1, 65_538)] {
+            assert_eq!(
+                decode_program(&msr_table_bytes(values, user_ok)),
+                Err(DecodeError::OutOfRange {
+                    field: "msr index",
+                    value: 65_538
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn accepted_bytes_round_trip_at_the_field_limits() {
+        for idx in [0, 65_535] {
+            let bytes = rdmsr_bytes(idx);
+            let mut pos = 0;
+            let inst = decode(&bytes, &mut pos).unwrap();
+            assert_eq!(pos, bytes.len());
+            let mut again = Vec::new();
+            encode(inst, &mut again);
+            assert_eq!(again, bytes, "idx {idx}");
+        }
+        let bytes = msr_table_bytes(65_535, 65_535);
+        assert_eq!(encode_program(&decode_program(&bytes).unwrap()), bytes);
+        // The widest target the host's usize holds.
+        let mut bytes = vec![OP_JMP];
+        put_varint(&mut bytes, usize::MAX as u64);
+        let mut pos = 0;
+        let inst = decode(&bytes, &mut pos).unwrap();
+        let mut again = Vec::new();
+        encode(inst, &mut again);
+        assert_eq!(again, bytes);
+    }
+
     #[test]
     fn unknown_opcode_rejected() {
         let mut pos = 0;
@@ -738,6 +832,10 @@ mod tests {
             DecodeError::BadSubcode(77),
             DecodeError::BadMagic,
             DecodeError::AddressOverflow,
+            DecodeError::OutOfRange {
+                field: "msr index",
+                value: 65_538,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -53,6 +53,11 @@ fn isa_errors_format_every_variant() {
     assert!(audit(&DecodeError::BadSubcode(77)).contains("77"));
     assert!(audit(&DecodeError::BadMagic).contains("magic"));
     assert!(audit(&DecodeError::AddressOverflow).contains("overflows"));
+    let narrow = DecodeError::OutOfRange {
+        field: "msr index",
+        value: 65_538,
+    };
+    assert!(audit(&narrow).contains("msr index 65538 out of range"));
 
     assert!(audit(&InterpError::PcOutOfRange { pc: 123 }).contains("123"));
     assert!(audit(&InterpError::UnhandledFault(Fault::PrivilegedAccess {

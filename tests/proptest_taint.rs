@@ -5,7 +5,9 @@
 //! 1. **Gate soundness** — with the cycle-level invariant checker armed,
 //!    no transmitting instruction is ever in flight past issue with a
 //!    currently-tainted transmit source (the `TaintGate` invariant checks
-//!    this every cycle), and architecture is bit-exact against the
+//!    this every cycle), STT's frontier has exactly the bits of the
+//!    whole-ROB walk (the same law's oracle, on generated programs and on
+//!    the Fig 7 kernels), and architecture is bit-exact against the
 //!    reference interpreter.
 //! 2. **Untaint-at-resolution** — taint is transient by construction:
 //!    once the pipeline drains (halt, empty ROB) every physical
@@ -21,6 +23,7 @@ use nda_core::config::SimConfig;
 use nda_core::{OooCore, Variant};
 use nda_isa::genprog::{generate, GenConfig};
 use nda_isa::Interp;
+use nda_workloads::{all, WorkloadParams};
 use proptest::prelude::*;
 
 const TAINT_VARIANTS: [Variant; 4] = [
@@ -54,6 +57,23 @@ proptest! {
                 !core.any_preg_tainted(),
                 "{}: taint survived pipeline drain at halt", v.name()
             );
+        }
+    }
+}
+
+/// Property 1's frontier-vs-walk comparison on the Fig 7 kernels, whose
+/// pointer chases and dispatch loops the generator does not reach.
+#[test]
+fn stt_frontier_matches_the_walk_on_fig7_kernels() {
+    for w in all() {
+        let program = (w.build)(&WorkloadParams { seed: 1, iters: 40 });
+        for v in [Variant::SttSpectre, Variant::SttFuturistic] {
+            let mut cfg = SimConfig::for_variant(v);
+            cfg.check_invariants = true;
+            let r = OooCore::new(cfg, &program)
+                .run(50_000_000)
+                .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, v.name()));
+            assert!(r.halted, "{}/{}", w.name, v.name());
         }
     }
 }
