@@ -138,6 +138,11 @@ fn enc_interp(e: &mut Enc, s: &InterpState, pages: &[(u64, u64)]) {
     }
 }
 
+/// The fewest bytes an interpreter snapshot encodes to: registers, pc,
+/// the two counters, the halted flag and three empty lists. A checkpoint
+/// holds one and more, so it is also a lower bound on a checkpoint.
+const INTERP_MIN_BYTES: usize = NUM_REGS * 8 + 3 * 8 + 1 + 3 * 8;
+
 fn dec_interp(d: &mut Dec, pool: &[Arc<[u8; PAGE_SIZE]>]) -> Option<InterpState> {
     let mut regs = [0u64; NUM_REGS];
     for r in &mut regs {
@@ -147,21 +152,21 @@ fn dec_interp(d: &mut Dec, pool: &[Arc<[u8; PAGE_SIZE]>]) -> Option<InterpState>
     let retired = d.u64()?;
     let faults = d.u64()?;
     let halted = d.bool()?;
-    let n_pages = d.usize()?;
-    let mut pages = Vec::with_capacity(n_pages.min(1 << 20));
+    let n_pages = d.count(16)?;
+    let mut pages = Vec::with_capacity(n_pages);
     for _ in 0..n_pages {
         let idx = d.u64()?;
         let slot = usize::try_from(d.u64()?).ok()?;
         pages.push((idx, Arc::clone(pool.get(slot)?)));
     }
-    let n_vals = d.usize()?;
-    let mut values = Vec::with_capacity(n_vals.min(1 << 16));
+    let n_vals = d.count(16)?;
+    let mut values = Vec::with_capacity(n_vals);
     for _ in 0..n_vals {
         let idx = u16::try_from(d.u64()?).ok()?;
         values.push((idx, d.u64()?));
     }
-    let n_ok = d.usize()?;
-    let mut user_ok = Vec::with_capacity(n_ok.min(1 << 16));
+    let n_ok = d.count(8)?;
+    let mut user_ok = Vec::with_capacity(n_ok);
     for _ in 0..n_ok {
         user_ok.push(u16::try_from(d.u64()?).ok()?);
     }
@@ -193,7 +198,7 @@ fn enc_cache(e: &mut Enc, s: &CacheState) {
 /// indices and stamps are checked by [`MemHierState::fits`] in
 /// [`dec_hier`].
 fn dec_cache(d: &mut Dec, cfg: CacheConfig) -> Option<CacheState> {
-    let n = d.usize()?;
+    let n = d.count(24)?;
     if n > cfg.sets() * cfg.ways {
         return None;
     }
@@ -222,8 +227,8 @@ fn enc_pairs(e: &mut Enc, pairs: &[(u64, u64)]) {
 }
 
 fn dec_pairs(d: &mut Dec) -> Option<Vec<(u64, u64)>> {
-    let n = d.usize()?;
-    let mut pairs = Vec::with_capacity(n.min(1 << 20));
+    let n = d.count(16)?;
+    let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
         pairs.push((d.u64()?, d.u64()?));
     }
@@ -338,7 +343,7 @@ fn enc_btb(e: &mut Enc, s: &BtbState) {
 /// Decode a BTB snapshot of configuration `cfg`: the entry count is
 /// checked before allocating, the indices by [`BtbState::fits`].
 fn dec_btb(d: &mut Dec, cfg: BtbConfig) -> Option<BtbState> {
-    let n = d.usize()?;
+    let n = d.count(24)?;
     if n > cfg.entries {
         return None;
     }
@@ -419,16 +424,14 @@ fn encode_set(e: &mut Enc, set: &CheckpointSet) {
 /// Decode an entry body. `None` on any truncation or shape mismatch
 /// against the live configuration — quarantine cases for the store.
 fn decode_set(d: &mut Dec, cfg: &SimConfig, program: &Program) -> Option<CheckpointSet> {
-    let n_pool = d.usize()?;
-    let mut pool: Vec<Arc<[u8; PAGE_SIZE]>> = Vec::with_capacity(n_pool.min(1 << 20));
+    let n_pool = d.count(PAGE_SIZE)?;
+    let mut pool: Vec<Arc<[u8; PAGE_SIZE]>> = Vec::with_capacity(n_pool);
     for _ in 0..n_pool {
         let bytes: [u8; PAGE_SIZE] = d.take(PAGE_SIZE)?.try_into().ok()?;
         pool.push(Arc::new(bytes));
     }
-    let n = d.usize()?;
-    // A checkpoint is about a kilobyte in memory: cap the reservation a
-    // corrupt count can ask for, and let a real set grow past it.
-    let mut checkpoints = Vec::with_capacity(n.min(1 << 12));
+    let n = d.count(INTERP_MIN_BYTES)?;
+    let mut checkpoints = Vec::with_capacity(n);
     for _ in 0..n {
         let interp = Interp::from_state(program, dec_interp(d, &pool)?);
         let hier = dec_hier(d, cfg.mem)?;
@@ -796,6 +799,84 @@ mod tests {
             enc_dir(e, &c.dir.dump_state());
             e.usize(1 << 40);
         });
+    }
+
+    #[test]
+    fn an_empty_interpreter_snapshot_is_the_checkpoint_lower_bound() {
+        let p = store_program();
+        let mut state = Interp::new(&p).dump_state();
+        state.msrs = MsrFile::from_parts(&[], &[]);
+        let mut e = Enc::default();
+        enc_interp(&mut e, &state, &[]);
+        assert_eq!(e.buf.len(), INTERP_MIN_BYTES);
+    }
+
+    /// A body up to its first checkpoint's interpreter snapshot: an
+    /// empty page pool and a count of one checkpoint.
+    fn first_checkpoint(e: &mut Enc) {
+        e.usize(0);
+        e.usize(1);
+    }
+
+    /// An interpreter snapshot up to its page-reference count.
+    fn interp_head(e: &mut Enc) {
+        for _ in 0..NUM_REGS + 3 {
+            e.u64(0); // registers, pc and the two counters
+        }
+        e.bool(false);
+    }
+
+    /// The first checkpoint up to its MSHR pair count.
+    fn hier_head(e: &mut Enc, set: &CheckpointSet) {
+        let c = &set.checkpoints[0];
+        first_checkpoint(e);
+        enc_interp(e, &c.interp.dump_state(), &[]);
+        enc_cache(e, &c.hier.l1i);
+        enc_cache(e, &c.hier.l1d);
+        enc_cache(e, &c.hier.l2);
+    }
+
+    #[test]
+    fn counts_the_bytes_left_cannot_hold_are_quarantined() {
+        // Each body ends in a hostile count; then come fewer bytes than
+        // its records take.
+        type Case = fn(&mut Enc, &CheckpointSet);
+        let cases: [(&str, Case); 7] = [
+            ("page-pool", |_, _| {}),
+            ("checkpoints", |e, _| e.usize(0)),
+            ("page-refs", |e, _| {
+                first_checkpoint(e);
+                interp_head(e);
+            }),
+            ("msr-values", |e, _| {
+                first_checkpoint(e);
+                interp_head(e);
+                e.usize(0);
+            }),
+            ("msr-user-ok", |e, _| {
+                first_checkpoint(e);
+                interp_head(e);
+                e.usize(0);
+                e.usize(0);
+            }),
+            ("mshr-pairs", hier_head),
+            ("fill-pairs", |e, set| {
+                hier_head(e, set);
+                enc_pairs(e, &[]);
+                for _ in 0..9 {
+                    e.u64(0); // MSHR, MLP, DRAM and prefetch counters
+                }
+            }),
+        ];
+        for (tag, head) in cases {
+            for (count, tail) in [(1 << 40, 0), (1 << 40, 4095), (u64::MAX, 64)] {
+                assert_body_is_quarantined(&format!("{tag}-{count}-{tail}"), |e, set| {
+                    head(e, set);
+                    e.u64(count);
+                    e.buf.extend(std::iter::repeat_n(0, tail));
+                });
+            }
+        }
     }
 
     #[test]

@@ -108,6 +108,13 @@ impl<'a> Dec<'a> {
     pub(crate) fn usize(&mut self) -> Option<usize> {
         usize::try_from(self.u64()?).ok()
     }
+    /// A count of records that each take at least `record` bytes,
+    /// refused when the rest of the buffer cannot hold that many: a
+    /// corrupt count cannot reserve more than the blob's own size.
+    pub(crate) fn count(&mut self, record: usize) -> Option<usize> {
+        let n = self.usize()?;
+        (n.checked_mul(record)? <= self.buf.len() - self.pos).then_some(n)
+    }
     /// One byte.
     pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
@@ -398,5 +405,28 @@ mod tests {
         // Known FNV-1a 64 vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_bytes_left() {
+        let mut e = Enc::default();
+        e.usize(3);
+        e.buf.extend_from_slice(&[0; 24]);
+        // Three 8-byte records fit exactly; three 9-byte ones do not.
+        assert_eq!(Dec::new(&e.buf).count(8), Some(3));
+        assert_eq!(Dec::new(&e.buf).count(9), None);
+        // A count whose byte total overflows is refused, not wrapped.
+        for n in [u64::MAX, u64::MAX / 8 + 1, 1 << 61] {
+            let mut e = Enc::default();
+            e.u64(n);
+            e.buf.extend_from_slice(&[0; 64]);
+            assert_eq!(Dec::new(&e.buf).count(8), None, "{n}");
+        }
+        // Zero records fit anywhere, even at the end of the buffer.
+        let mut e = Enc::default();
+        e.usize(0);
+        let mut d = Dec::new(&e.buf);
+        assert_eq!(d.count(4096), Some(0));
+        assert!(d.done());
     }
 }

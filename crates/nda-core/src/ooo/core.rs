@@ -20,7 +20,7 @@
 //! 6. **dispatch/rename** — consume the fetch queue into the ROB.
 //! 7. **fetch** — predict and follow (possibly wrong) paths.
 
-use super::frontend::{FrontEnd, FrontEndConfig};
+use super::frontend::{FrontEnd, FrontEndConfig, RasSlot};
 use super::invariants::{InvariantKind, InvariantViolation};
 use super::rename::{FreeList, PReg, PhysRegFile, RenameTable};
 use super::rob::{Rob, RobEntry, Shadow};
@@ -624,7 +624,7 @@ impl OooCore {
                 let data = head.store_data.expect("completed store has data");
                 self.mem.write(addr, data, head.mem_size);
             }
-            let e = self.rob.pop_head().expect("head exists");
+            let e = Retired::of(self.rob.pop_head().expect("head exists"));
             if let Some(slot) = e.ras_after {
                 self.fe.ras_snaps.release(slot);
             }
@@ -697,7 +697,7 @@ impl OooCore {
     /// timing-dependent by design and are not compared (nor are any values
     /// derived from them — enable the checker only on RdCycle-free
     /// programs, which is what `genprog` emits).
-    fn oracle_retire(&mut self, e: &RobEntry) {
+    fn oracle_retire(&mut self, e: &Retired) {
         let Some(oracle) = self.oracle.as_mut() else {
             return;
         };
@@ -753,7 +753,7 @@ impl OooCore {
         let _ = oracle.step();
     }
 
-    fn train_predictors(&mut self, e: &RobEntry) {
+    fn train_predictors(&mut self, e: &Retired) {
         let addr = self.program.inst_addr(e.pc);
         match e.inst {
             Inst::Branch { .. } => {
@@ -1594,40 +1594,46 @@ impl OooCore {
             let uop = self.fe.pop_ready(now).expect("peeked");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let mut e = RobEntry::new(seq, uop.pc, uop.inst, now);
-            e.pred_next = uop.pred_next;
-            e.pred_taken = uop.pred_taken;
-            e.ghr_before = uop.ghr_before;
-            e.ras_after = uop.ras_after;
+            let inst = uop.inst;
 
-            // Rename sources, then destination.
-            let ops = uop.inst.operands();
-            for (slot, r) in ops.iter().enumerate() {
-                if let Some(r) = r {
-                    e.src_pregs[slot] = Some(self.rename.lookup(*r));
-                }
+            // Rename sources, then destination, into locals: the entry is
+            // then built where it lives, in its ROB slot.
+            let mut src_pregs = [None; 2];
+            for (slot, r) in inst.operands().iter().enumerate() {
+                src_pregs[slot] = r.map(|r| self.rename.lookup(r));
             }
-            if let Some(rd) = uop.inst.dest() {
+            let mut dest = None;
+            if let Some(rd) = inst.dest() {
                 let prd = self.free.alloc().expect("checked available");
                 debug_assert!(self.waiters[prd as usize].is_empty());
                 self.prf.reset(prd);
                 self.forget_taint(prd);
                 // A load roots its own taint; anything else inherits the
                 // youngest root among its sources.
-                self.yrot[prd as usize] = if uop.inst.is_load_like() {
+                self.yrot[prd as usize] = if inst.is_load_like() {
                     seq
                 } else {
-                    let srcs = e.src_pregs.iter().flatten();
+                    let srcs = src_pregs.iter().flatten();
                     srcs.map(|&p| self.yrot[p as usize]).max().unwrap_or(0)
                 };
                 self.producer[prd as usize] = seq;
+                dest = Some((rd, prd, self.rename.rename(rd, prd)));
+            }
+
+            let e = self.rob.alloc(seq, uop.pc, inst, now);
+            e.pred_next = uop.pred_next;
+            e.pred_taken = uop.pred_taken;
+            e.ghr_before = uop.ghr_before;
+            e.ras_after = uop.ras_after;
+            e.src_pregs = src_pregs;
+            if let Some((rd, prd, old)) = dest {
                 e.arch_rd = Some(rd);
                 e.prd = Some(prd);
-                e.old_prd = Some(self.rename.rename(rd, prd));
+                e.old_prd = Some(old);
             }
 
             let mut enqueue = true;
-            match uop.inst {
+            match inst {
                 // Direct control flow resolves at dispatch: the target is
                 // in the instruction word, so it creates no unsafe border
                 // and never mispredicts.
@@ -1670,7 +1676,7 @@ impl OooCore {
             if enqueue {
                 self.iq.push_back(seq);
                 self.iq_len += 1;
-                for &p in e.src_pregs.iter().flatten() {
+                for &p in src_pregs.iter().flatten() {
                     if !self.prf.is_visible(p) {
                         e.waiting += 1;
                         self.waiters[p as usize].push(seq);
@@ -1680,11 +1686,11 @@ impl OooCore {
                     self.ready.push(seq);
                 }
             }
-            self.trace_event(seq, e.pc, e.inst, crate::trace::TraceStage::Dispatch);
-            if e.completed {
-                self.trace_event(seq, e.pc, e.inst, crate::trace::TraceStage::Complete);
+            let completed = e.completed;
+            self.trace_event(seq, uop.pc, inst, crate::trace::TraceStage::Dispatch);
+            if completed {
+                self.trace_event(seq, uop.pc, inst, crate::trace::TraceStage::Complete);
             }
-            self.rob.push(e);
         }
     }
 
@@ -1706,17 +1712,19 @@ impl OooCore {
                 self.iq_len -= 1;
             }
             if e.waiting > 0 {
-                pop_squashed(&mut self.waiters, &e, min_seq);
+                pop_squashed(&mut self.waiters, e, min_seq);
             }
-            pop_squashed(&mut self.stt.consumers, &e, min_seq);
+            pop_squashed(&mut self.stt.consumers, e, min_seq);
             if e.issued {
                 self.stats.wrong_path_executed += 1;
             }
             if matches!(e.inst, Inst::SpecOff) {
                 self.specoff_pending -= 1;
             }
-            self.trace_event(e.seq, e.pc, e.inst, crate::trace::TraceStage::Squash);
-            if let (Some(rd), Some(prd), Some(old)) = (e.arch_rd, e.prd, e.old_prd) {
+            let (seq, pc, inst) = (e.seq, e.pc, e.inst);
+            let dest = (e.arch_rd, e.prd, e.old_prd);
+            self.trace_event(seq, pc, inst, crate::trace::TraceStage::Squash);
+            if let (Some(rd), Some(prd), Some(old)) = dest {
                 debug_assert_eq!(self.rename.lookup(rd), prd, "LIFO unwind invariant");
                 self.rename.restore(rd, old);
                 self.free.release(prd);
@@ -2119,6 +2127,46 @@ impl TaintFrontier {
     /// After a squash from `min_seq`: the reused numbers are not walked.
     fn rewind(&mut self, min_seq: u64) {
         self.walked = self.walked.min(min_seq);
+    }
+}
+
+/// What retirement reads of the entry commit pops, copied out of its ROB
+/// slot so the rest of commit can borrow the core.
+struct Retired {
+    seq: u64,
+    pc: usize,
+    inst: Inst,
+    arch_rd: Option<nda_isa::Reg>,
+    prd: Option<PReg>,
+    old_prd: Option<PReg>,
+    result: u64,
+    broadcasted: bool,
+    complete_cycle: u64,
+    ras_after: Option<RasSlot>,
+    ghr_before: u64,
+    pred_taken: bool,
+    actual_taken: bool,
+    actual_next: usize,
+}
+
+impl Retired {
+    fn of(e: &RobEntry) -> Retired {
+        Retired {
+            seq: e.seq,
+            pc: e.pc,
+            inst: e.inst,
+            arch_rd: e.arch_rd,
+            prd: e.prd,
+            old_prd: e.old_prd,
+            result: e.result,
+            broadcasted: e.broadcasted,
+            complete_cycle: e.complete_cycle,
+            ras_after: e.ras_after,
+            ghr_before: e.ghr_before,
+            pred_taken: e.pred_taken,
+            actual_taken: e.actual_taken,
+            actual_next: e.actual_next,
+        }
     }
 }
 

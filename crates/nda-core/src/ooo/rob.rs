@@ -15,7 +15,7 @@ use nda_isa::{Fault, Inst, Reg};
 use std::collections::VecDeque;
 
 /// One in-flight micro-op.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobEntry {
     /// Global sequence number (monotonic across squashes).
     pub seq: u64,
@@ -207,37 +207,38 @@ impl Rob {
         (seq & self.mask) as usize
     }
 
-    /// Append a dispatched entry.
+    /// Start the entry for a dispatched micro-op in its slot, reset to
+    /// [`RobEntry::new`], and hand it back for dispatch to fill in place.
     ///
     /// # Panics
     ///
     /// Panics if full or if `seq` is not contiguous.
-    pub fn push(&mut self, e: RobEntry) {
+    pub fn alloc(&mut self, seq: u64, pc: usize, inst: Inst, cycle: u64) -> &mut RobEntry {
         assert!(!self.is_full(), "rob overflow");
         if self.len == 0 {
-            self.head = e.seq;
+            self.head = seq;
         } else {
             assert_eq!(
                 self.head + self.len as u64,
-                e.seq,
+                seq,
                 "non-contiguous rob sequence"
             );
         }
-        if e.inst.is_branch() {
-            self.branches.push_back(e.seq);
-        }
-        let at = self.slot(e.seq);
-        match at.cmp(&self.slots.len()) {
-            std::cmp::Ordering::Less => self.slots[at] = e,
-            std::cmp::Ordering::Equal => self.slots.push(e),
-            // A first sequence number past slot 0: fill the slots below
-            // it once (they are dead until the ring wraps onto them).
-            std::cmp::Ordering::Greater => {
-                self.slots.resize(at, e.clone());
-                self.slots.push(e);
-            }
+        if inst.is_branch() {
+            self.branches.push_back(seq);
         }
         self.len += 1;
+        let at = self.slot(seq);
+        if at < self.slots.len() {
+            self.slots[at] = RobEntry::new(seq, pc, inst, cycle);
+        } else {
+            // A slot reached for the first time. A first sequence number
+            // past slot 0 also fills the slots below it once (they are
+            // dead until the ring wraps onto them).
+            self.slots
+                .resize(at + 1, RobEntry::new(seq, pc, inst, cycle));
+        }
+        &mut self.slots[at]
     }
 
     /// The oldest entry.
@@ -266,32 +267,36 @@ impl Rob {
         }
     }
 
-    /// Pop the oldest entry (commit).
-    pub fn pop_head(&mut self) -> Option<RobEntry> {
-        let e = self.head()?.clone();
+    /// Retire the oldest entry (commit). The entry stays in its slot,
+    /// intact, until a later [`Rob::alloc`] reuses the slot.
+    pub fn pop_head(&mut self) -> Option<&RobEntry> {
+        let seq = self.head;
+        if self.len == 0 {
+            return None;
+        }
         self.head += 1;
         self.len -= 1;
-        if self.branches.front() == Some(&e.seq) {
+        if self.branches.front() == Some(&seq) {
             self.branches.pop_front();
             self.unresolved = self.unresolved.saturating_sub(1);
         }
-        Some(e)
+        Some(&self.slots[self.slot(seq)])
     }
 
     /// Pop the youngest entry if `seq >= min_squash` (squash unwinding,
-    /// tail first so rename recovery is LIFO).
-    pub fn pop_tail_from(&mut self, min_squash: u64) -> Option<RobEntry> {
+    /// tail first so rename recovery is LIFO). Like [`Rob::pop_head`], it
+    /// leaves the entry in its slot.
+    pub fn pop_tail_from(&mut self, min_squash: u64) -> Option<&RobEntry> {
         let tail = self.head + self.len.checked_sub(1)? as u64;
         if tail < min_squash {
             return None;
         }
-        let e = self.slots[self.slot(tail)].clone();
         self.len -= 1;
-        if self.branches.back() == Some(&e.seq) {
+        if self.branches.back() == Some(&tail) {
             self.branches.pop_back();
             self.unresolved = self.unresolved.min(self.branches.len());
         }
-        Some(e)
+        Some(&self.slots[self.slot(tail)])
     }
 
     /// The oldest in-flight branch and the oldest unresolved one
@@ -393,15 +398,16 @@ mod tests {
     use super::*;
     use nda_isa::Inst;
 
-    fn entry(seq: u64) -> RobEntry {
-        RobEntry::new(seq, seq as usize, Inst::Nop, 0)
+    /// Dispatch a `Nop` numbered `seq` at pc `seq`.
+    fn push(r: &mut Rob, seq: u64) -> &mut RobEntry {
+        r.alloc(seq, seq as usize, Inst::Nop, 0)
     }
 
     #[test]
     fn push_get_pop() {
         let mut r = Rob::new(4);
-        r.push(entry(10));
-        r.push(entry(11));
+        push(&mut r, 10);
+        push(&mut r, 11);
         assert_eq!(r.len(), 2);
         assert_eq!(r.get(11).unwrap().seq, 11);
         assert!(r.get(9).is_none());
@@ -414,7 +420,7 @@ mod tests {
     fn squash_unwinds_tail_first() {
         let mut r = Rob::new(8);
         for s in 0..5 {
-            r.push(entry(s));
+            push(&mut r, s);
         }
         let mut squashed = Vec::new();
         while let Some(e) = r.pop_tail_from(3) {
@@ -448,14 +454,14 @@ mod tests {
     fn entries_live_across_the_slot_wrap() {
         let mut r = Rob::new(192);
         for s in 0..192 {
-            r.push(entry(s));
+            push(&mut r, s);
         }
         // Commit 150, then dispatch past slot 255 onto slots 0, 1, ...
         for s in 0..150 {
             assert_eq!(r.pop_head().unwrap().seq, s);
         }
         for s in 192..300 {
-            r.push(entry(s));
+            push(&mut r, s);
         }
         assert_eq!(r.len(), 150);
         assert_eq!(live(&r), (150..300).collect::<Vec<_>>());
@@ -474,7 +480,7 @@ mod tests {
         // Start past slot 0 and across the wrap.
         let mut r = Rob::new(192);
         for s in 250..262 {
-            r.push(RobEntry::new(s, 1, Inst::Jmp { target: 0 }, 0));
+            r.alloc(s, 1, Inst::Jmp { target: 0 }, 0);
         }
         assert_eq!(r.branch_borders(), (250, 250));
         while r.pop_tail_from(250).is_some() {}
@@ -483,14 +489,14 @@ mod tests {
         assert_eq!(r.iter().count(), 0);
         assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
         for s in 250..260 {
-            r.push(RobEntry::new(s, 2, Inst::Nop, 0));
+            r.alloc(s, 2, Inst::Nop, 0);
         }
         assert_eq!(live(&r), (250..260).collect::<Vec<_>>());
         assert!(r.iter().all(|e| e.pc == 2 && e.inst == Inst::Nop));
         assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
         // A fault squashes from 0; numbering restarts at slot 0.
         while r.pop_tail_from(0).is_some() {}
-        r.push(entry(0));
+        push(&mut r, 0);
         assert_eq!(live(&r), vec![0]);
     }
 
@@ -498,7 +504,7 @@ mod tests {
     fn get_outside_the_live_range_is_none() {
         let mut r = Rob::new(192);
         for s in 40..60 {
-            r.push(entry(s));
+            push(&mut r, s);
         }
         r.pop_head();
         let (head, len) = (41, r.len() as u64);
@@ -513,14 +519,67 @@ mod tests {
         assert!(Rob::new(192).get(0).is_none());
     }
 
+    /// Set fields that dispatch never writes, each to a value a fresh
+    /// entry does not hold.
+    fn dirty(e: &mut RobEntry) {
+        e.fault = Some(nda_isa::Fault::PrivilegedAccess { addr: 0xdead });
+        e.exposure_done = Some(9);
+        e.forwarded_from = Some(3);
+        e.store_data = Some(0xbeef);
+        e.taint_gate_traced = true;
+        e.waiting = 2;
+    }
+
+    #[test]
+    fn a_reused_slot_carries_nothing_of_its_previous_occupant() {
+        let mut r = Rob::new(192);
+        for s in 0..192 {
+            dirty(push(&mut r, s));
+        }
+        while r.pop_head().is_some() {}
+        // Sequence numbers 192..256 fill fresh slots; 256.. wrap onto the
+        // retired entries' slots 0..128.
+        for s in 192..384 {
+            r.alloc(s, 1, Inst::Halt, 7);
+        }
+        for s in 192..384 {
+            assert_eq!(r.get(s), Some(&RobEntry::new(s, 1, Inst::Halt, 7)));
+        }
+        // A squashed sequence number dispatched again starts afresh too.
+        dirty(r.get_mut(383).unwrap());
+        assert_eq!(r.pop_tail_from(383).map(|e| e.waiting), Some(2));
+        r.alloc(383, 4, Inst::Nop, 8);
+        assert_eq!(r.get(383), Some(&RobEntry::new(383, 4, Inst::Nop, 8)));
+    }
+
+    #[test]
+    fn a_retired_head_stays_readable_until_its_slot_is_reused() {
+        let mut r = Rob::new(4);
+        let e = push(&mut r, 0);
+        e.result = 42;
+        e.store_data = Some(7);
+        push(&mut r, 1);
+        let retired = r.pop_head().unwrap();
+        assert_eq!((retired.seq, retired.result), (0, 42));
+        assert!(r.get(0).is_none());
+        // Dispatches into the other slots leave it intact.
+        push(&mut r, 2);
+        push(&mut r, 3);
+        assert_eq!((r.slots[0].seq, r.slots[0].result), (0, 42));
+        assert_eq!(r.slots[0].store_data, Some(7));
+        // The dispatch that wraps onto its slot resets it.
+        push(&mut r, 4);
+        assert_eq!(r.slots[0], RobEntry::new(4, 4, Inst::Nop, 0));
+    }
+
     #[test]
     fn full_at_capacity_not_at_the_slot_count() {
         let mut r = Rob::new(192);
         for s in 0..191 {
-            r.push(entry(s));
+            push(&mut r, s);
         }
         assert!(!r.is_full());
-        r.push(entry(191));
+        push(&mut r, 191);
         assert!(r.is_full());
         assert_eq!(r.len(), 192);
         r.pop_head();
@@ -531,16 +590,16 @@ mod tests {
     #[should_panic(expected = "rob overflow")]
     fn overflow_panics() {
         let mut r = Rob::new(1);
-        r.push(entry(0));
-        r.push(entry(1));
+        push(&mut r, 0);
+        push(&mut r, 1);
     }
 
     #[test]
     #[should_panic(expected = "non-contiguous")]
     fn non_contiguous_seq_panics() {
         let mut r = Rob::new(4);
-        r.push(entry(0));
-        r.push(entry(2));
+        push(&mut r, 0);
+        push(&mut r, 2);
     }
 
     #[test]
@@ -569,15 +628,11 @@ mod tests {
             size: nda_isa::MemSize::B8,
         };
         let mut r = Rob::new(8);
-        r.push(entry(10));
-        let mut b = RobEntry::new(11, 11, Inst::Jmp { target: 0 }, 0);
-        b.branch_resolved = true;
-        r.push(b);
-        r.push(RobEntry::new(12, 12, Inst::Jmp { target: 0 }, 0));
-        let mut st = RobEntry::new(13, 13, store, 0);
-        st.completed = true;
-        r.push(st);
-        r.push(RobEntry::new(14, 14, store, 0));
+        push(&mut r, 10);
+        r.alloc(11, 11, Inst::Jmp { target: 0 }, 0).branch_resolved = true;
+        r.alloc(12, 12, Inst::Jmp { target: 0 }, 0);
+        r.alloc(13, 13, store, 0).completed = true;
+        r.alloc(14, 14, store, 0);
         let sh = Shadow::of(&mut r, &[13, 14]);
         // Strictly younger than the border is inside its shadow.
         for (border, seq) in [
@@ -596,7 +651,7 @@ mod tests {
         r.pop_head();
         r.pop_head();
         assert_eq!(r.branch_borders(), (u64::MAX, u64::MAX));
-        r.push(RobEntry::new(12, 12, Inst::Jmp { target: 0 }, 0));
+        r.alloc(12, 12, Inst::Jmp { target: 0 }, 0);
         assert_eq!(r.branch_borders(), (12, 12));
     }
 }

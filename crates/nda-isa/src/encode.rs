@@ -51,6 +51,13 @@ pub enum DecodeError {
         /// The value the varint encodes.
         value: u64,
     },
+    /// A varint that is not the shortest encoding of a 64-bit value: it
+    /// sets bits past bit 63, or ends in a zero byte that pads a shorter
+    /// form (`80 00` for 0).
+    NonCanonicalVarint {
+        /// Byte offset of the varint's first byte.
+        at: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -63,6 +70,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "bad program magic"),
             DecodeError::AddressOverflow => write!(f, "code-pointer address overflows 64 bits"),
             DecodeError::OutOfRange { field, value } => write!(f, "{field} {value} out of range"),
+            DecodeError::NonCanonicalVarint { at } => {
+                write!(f, "non-canonical varint at byte {at}")
+            }
         }
     }
 }
@@ -102,20 +112,25 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// A canonical varint: the shortest encoding of a 64-bit value, so every
+/// accepted varint re-encodes to the bytes it came from.
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    let at = *pos;
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
         let byte = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
         *pos += 1;
+        // A tenth byte holds bit 63 alone; a zero byte past the first
+        // pads a shorter form.
+        if (shift == 63 && byte > 1) || (shift > 0 && byte == 0) {
+            return Err(DecodeError::NonCanonicalVarint { at });
+        }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
         shift += 7;
-        if shift >= 64 {
-            return Err(DecodeError::Truncated);
-        }
     }
 }
 
@@ -807,6 +822,88 @@ mod tests {
         assert_eq!(again, bytes);
     }
 
+    /// `bytes` read as one varint.
+    fn varint(bytes: &[u8]) -> Result<u64, DecodeError> {
+        let mut pos = 0;
+        let v = get_varint(bytes, &mut pos)?;
+        assert_eq!(pos, bytes.len(), "{bytes:02x?}");
+        Ok(v)
+    }
+
+    #[test]
+    fn varint_past_64_bits_is_refused_not_truncated() {
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(varint(&max), Ok(u64::MAX));
+        // Bits 64..70 set in the tenth byte, or an eleventh byte to come.
+        for last in [0x7f, 0x02, 0x03, 0x81] {
+            max[9] = last;
+            assert_eq!(
+                varint(&max),
+                Err(DecodeError::NonCanonicalVarint { at: 0 }),
+                "{last:#04x}"
+            );
+        }
+        // In an instruction, the offset names the varint's first byte.
+        let mut bytes = vec![OP_JMP];
+        bytes.extend_from_slice(&max);
+        let mut pos = 0;
+        assert_eq!(
+            decode(&bytes, &mut pos),
+            Err(DecodeError::NonCanonicalVarint { at: 1 })
+        );
+    }
+
+    #[test]
+    fn zero_padded_varints_are_refused() {
+        for padded in [&[0x80, 0x00][..], &[0xff, 0x00], &[0x80, 0x80, 0x00]] {
+            assert_eq!(
+                varint(padded),
+                Err(DecodeError::NonCanonicalVarint { at: 0 }),
+                "{padded:02x?}"
+            );
+        }
+        // A lone zero byte is the canonical 0; a zero after a continued
+        // byte is padding wherever it falls.
+        assert_eq!(varint(&[0x00]), Ok(0));
+        assert_eq!(varint(&[0x80, 0x01]), Ok(128));
+        let mut pos = 0;
+        assert_eq!(
+            decode(&[OP_JMP, 0x85, 0x00], &mut pos),
+            Err(DecodeError::NonCanonicalVarint { at: 1 })
+        );
+    }
+
+    #[test]
+    fn every_accepted_varint_round_trips() {
+        // Every one- and two-byte string, then the widest forms.
+        let short = (0..=255u8)
+            .map(|b| vec![b])
+            .chain((0..=u16::MAX).map(|w| w.to_le_bytes().to_vec()));
+        let wide = (0..10).map(|n| {
+            let mut b = vec![0xff; n];
+            b.push(0x01);
+            b
+        });
+        let mut accepted = 0;
+        for bytes in short.chain(wide) {
+            let mut pos = 0;
+            // Count the strings read as one whole varint.
+            let Ok(v) = get_varint(&bytes, &mut pos) else {
+                continue;
+            };
+            if pos < bytes.len() {
+                continue;
+            }
+            accepted += 1;
+            let mut again = Vec::new();
+            put_varint(&mut again, v);
+            assert_eq!(again, bytes, "{bytes:02x?}");
+        }
+        // 128 one-byte strings, 128 * 127 two-byte ones and the ten wide.
+        assert_eq!(accepted, 128 + 128 * 127 + 10);
+    }
+
     #[test]
     fn unknown_opcode_rejected() {
         let mut pos = 0;
@@ -836,6 +933,7 @@ mod tests {
                 field: "msr index",
                 value: 65_538,
             },
+            DecodeError::NonCanonicalVarint { at: 3 },
         ] {
             assert!(!e.to_string().is_empty());
         }

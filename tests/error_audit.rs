@@ -58,6 +58,8 @@ fn isa_errors_format_every_variant() {
         value: 65_538,
     };
     assert!(audit(&narrow).contains("msr index 65538 out of range"));
+    let padded = DecodeError::NonCanonicalVarint { at: 7 };
+    assert!(audit(&padded).contains("non-canonical varint at byte 7"));
 
     assert!(audit(&InterpError::PcOutOfRange { pc: 123 }).contains("123"));
     assert!(audit(&InterpError::UnhandledFault(Fault::PrivilegedAccess {
