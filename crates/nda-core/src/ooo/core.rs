@@ -20,7 +20,7 @@
 //! 6. **dispatch/rename** — consume the fetch queue into the ROB.
 //! 7. **fetch** — predict and follow (possibly wrong) paths.
 
-use super::frontend::{FrontEnd, FrontEndConfig, RasSlot};
+use super::frontend::{FrontEnd, FrontEndConfig, Prediction};
 use super::invariants::{InvariantKind, InvariantViolation};
 use super::rename::{FreeList, PReg, PhysRegFile, RenameTable};
 use super::rob::{Rob, RobEntry, Shadow};
@@ -28,7 +28,7 @@ use crate::config::SimConfig;
 use crate::policy::{Border, Defense, Propagation};
 use crate::run::{RunResult, SimError};
 use crate::snapshot::{HeadInfo, HeadWait, PipelineSnapshot};
-use nda_isa::inst::{Src2, UopClass};
+use nda_isa::inst::Src2;
 use nda_isa::{Fault, Inst, Interp, MsrFile, PrivilegeMap, Program, SparseMem};
 use nda_mem::{MemHier, MemHierState};
 use nda_predict::{Btb, BtbState, DirPredictor};
@@ -278,9 +278,16 @@ impl OooCore {
         }
     }
 
+    /// The instruction at `pc` (every in-flight micro-op's pc is in the
+    /// program text: fetch read it there).
     #[inline]
-    fn trace_event(&mut self, seq: u64, pc: usize, inst: Inst, stage: crate::trace::TraceStage) {
-        self.trace_event_mem(seq, pc, inst, stage, None);
+    pub(crate) fn inst(&self, pc: usize) -> Inst {
+        self.program.insts[pc]
+    }
+
+    #[inline]
+    fn trace_event(&mut self, seq: u64, pc: usize, stage: crate::trace::TraceStage) {
+        self.trace_event_mem(seq, pc, stage, None);
     }
 
     #[inline]
@@ -288,7 +295,22 @@ impl OooCore {
         &mut self,
         seq: u64,
         pc: usize,
-        inst: Inst,
+        stage: crate::trace::TraceStage,
+        mem: Option<(u64, u64)>,
+    ) {
+        if self.tracer.is_some() {
+            self.log_trace_event(seq, pc, stage, mem);
+        }
+    }
+
+    /// Append one event to the trace log (out of line: only a traced run
+    /// pays for it).
+    #[cold]
+    #[inline(never)]
+    fn log_trace_event(
+        &mut self,
+        seq: u64,
+        pc: usize,
         stage: crate::trace::TraceStage,
         mem: Option<(u64, u64)>,
     ) {
@@ -297,7 +319,7 @@ impl OooCore {
                 cycle: self.cycle,
                 seq,
                 pc,
-                disasm: inst.to_string(),
+                disasm: self.program.insts[pc].to_string(),
                 stage,
                 mem,
             });
@@ -441,25 +463,25 @@ impl OooCore {
     pub fn snapshot(&mut self) -> PipelineSnapshot {
         let now = self.cycle;
         let head = self.rob.head().map(|e| {
-            let wait = if !e.completed {
-                if e.issued {
+            let wait = if !e.completed() {
+                if e.issued() {
                     HeadWait::Executing
                 } else {
                     HeadWait::WaitingToIssue
                 }
-            } else if e.fault.is_some() {
+            } else if e.fault().is_some() {
                 HeadWait::FaultPending
-            } else if e.is_probe && e.exposure_done.map(|d| d <= now) != Some(true) {
+            } else if e.is_probe() && e.exposure_done().map(|d| d <= now) != Some(true) {
                 HeadWait::AwaitingExposure
-            } else if e.inst.is_store() {
+            } else if e.is_store() {
                 HeadWait::AwaitingStoreCommit
             } else {
                 HeadWait::ReadyToRetire
             };
             HeadInfo {
                 seq: e.seq,
-                pc: e.pc,
-                disasm: e.inst.to_string(),
+                pc: e.pc(),
+                disasm: self.program.insts[e.pc()].to_string(),
                 wait,
             }
         });
@@ -597,35 +619,38 @@ impl OooCore {
         let mut committed = 0;
         while committed < self.cfg.core.commit_width as u64 {
             let Some(head) = self.rob.head() else { break };
-            if !head.completed {
+            if !head.completed() {
                 break;
             }
             // InvisiSpec: a speculative load may not retire before its
             // exposure/validation finishes.
-            if head.is_probe {
-                match head.exposure_done {
+            if head.is_probe() {
+                match head.exposure_done() {
                     Some(d) if d <= self.cycle => {}
                     _ => break,
                 }
             }
-            if let Some(fault) = head.fault {
-                let head_pc = head.pc;
+            if let Some(fault) = head.fault() {
+                let head_pc = head.pc();
                 self.oracle_fault(head_pc);
                 self.deliver_fault(fault);
                 break;
             }
             // Stores perform their architectural write and cache fill at
             // commit; an exhausted MSHR file stalls retirement.
-            if head.inst.is_store() {
-                let addr = head.mem_addr.expect("completed store has address");
+            if head.is_store() {
+                let (addr, size) = head.mem().expect("completed store has address");
+                let data = head.store_data().expect("completed store has data");
                 if self.hier.access_data(addr, self.cycle).is_none() {
                     break;
                 }
-                let data = head.store_data.expect("completed store has data");
-                self.mem.write(addr, data, head.mem_size);
+                self.mem.write(addr, data, size);
             }
-            let e = Retired::of(self.rob.pop_head().expect("head exists"));
-            if let Some(slot) = e.ras_after {
+            // Retirement reads the hot line, and a branch's prediction and
+            // outcome; copied out so the rest of commit can borrow the core.
+            let head = self.rob.pop_head().expect("head exists");
+            let (e, branch) = (*head.hot(), head.prediction().zip(head.outcome()));
+            if let Some(slot) = branch.and_then(|(pred, _)| pred.ras_after) {
                 self.fe.ras_snaps.release(slot);
             }
             self.oracle_retire(&e);
@@ -636,7 +661,7 @@ impl OooCore {
                 self.stt.clear_committed(prd);
                 // Tag broadcast at retirement is always permitted: the head
                 // of the ROB is non-speculative by definition (paper §4.3).
-                if !e.broadcasted {
+                if !e.broadcasted() {
                     self.wake(prd);
                     let queued = self.bq.remove(0);
                     debug_assert_eq!(queued, e.seq, "the head is the oldest queued entry");
@@ -645,42 +670,37 @@ impl OooCore {
                         self.stats.deferred_broadcasts += 1;
                         self.stats.defer_hist.observe(self.cycle - e.complete_cycle);
                     }
-                    self.trace_event(e.seq, e.pc, e.inst, crate::trace::TraceStage::Broadcast);
+                    self.trace_event(e.seq, e.pc(), crate::trace::TraceStage::Broadcast);
                 }
             }
-            self.trace_event(e.seq, e.pc, e.inst, crate::trace::TraceStage::Commit);
+            self.trace_event(e.seq, e.pc(), crate::trace::TraceStage::Commit);
             if let Some(old) = e.old_prd {
                 self.free.release(old);
             }
-            match e.inst.class() {
-                UopClass::Load | UopClass::LoadLike => {
-                    self.stats.committed_loads += 1;
-                    debug_assert_eq!(self.lq.first(), Some(&e.seq));
-                    self.lq.remove(0);
-                }
-                UopClass::Store => {
-                    self.stats.committed_stores += 1;
-                    debug_assert_eq!(self.sq.first(), Some(&e.seq));
-                    self.sq.remove(0);
-                }
-                UopClass::Branch => {
-                    self.stats.committed_branches += 1;
-                    self.train_predictors(&e);
-                }
-                _ => {}
+            if e.is_load_like() {
+                self.stats.committed_loads += 1;
+                debug_assert_eq!(self.lq.first(), Some(&e.seq));
+                self.lq.remove(0);
+            } else if e.is_store() {
+                self.stats.committed_stores += 1;
+                debug_assert_eq!(self.sq.first(), Some(&e.seq));
+                self.sq.remove(0);
+            } else if let Some((pred, outcome)) = branch {
+                self.stats.committed_branches += 1;
+                self.train_predictors(e.pc(), pred, outcome);
             }
             self.stats.committed_insts += 1;
             committed += 1;
-            match e.inst {
-                Inst::SpecOff => {
-                    self.spec_window = true;
-                    self.specoff_pending -= 1;
+            if e.is_serializing() {
+                match self.inst(e.pc()) {
+                    Inst::SpecOff => {
+                        self.spec_window = true;
+                        self.specoff_pending -= 1;
+                    }
+                    Inst::SpecOn => self.spec_window = false,
+                    Inst::Halt => self.halted = true,
+                    _ => {}
                 }
-                Inst::SpecOn => self.spec_window = false,
-                Inst::Halt => {
-                    self.halted = true;
-                }
-                _ => {}
             }
             if self.halted {
                 break;
@@ -697,24 +717,27 @@ impl OooCore {
     /// timing-dependent by design and are not compared (nor are any values
     /// derived from them — enable the checker only on RdCycle-free
     /// programs, which is what `genprog` emits).
-    fn oracle_retire(&mut self, e: &Retired) {
+    fn oracle_retire(&mut self, e: &RobEntry) {
         let Some(oracle) = self.oracle.as_mut() else {
             return;
         };
+        let inst = self.program.insts[e.pc()];
         let want_pc = oracle.pc();
-        if want_pc != e.pc {
+        if want_pc != e.pc() {
             self.fail_invariant(
                 InvariantKind::CommitDivergence,
                 format!(
                     "retiring seq {} pc {} `{}` but the reference pc is {want_pc} \
                      (wrong-path instruction reached commit)",
-                    e.seq, e.pc, e.inst
+                    e.seq,
+                    e.pc(),
+                    inst
                 ),
             );
             return;
         }
         let _ = oracle.step();
-        if matches!(e.inst, Inst::RdCycle { .. }) {
+        if matches!(inst, Inst::RdCycle { .. }) {
             return;
         }
         if let Some(rd) = e.arch_rd {
@@ -726,7 +749,10 @@ impl OooCore {
                         format!(
                             "seq {} pc {} `{}` committed {:#x} into {rd:?} but the \
                              reference value is {want:#x}",
-                            e.seq, e.pc, e.inst, e.result
+                            e.seq,
+                            e.pc(),
+                            inst,
+                            e.result
                         ),
                     );
                 }
@@ -753,16 +779,16 @@ impl OooCore {
         let _ = oracle.step();
     }
 
-    fn train_predictors(&mut self, e: &Retired) {
-        let addr = self.program.inst_addr(e.pc);
-        match e.inst {
+    /// Commit-time training on a retiring branch at `pc`, from its
+    /// prediction and its `(taken, next)` outcome.
+    fn train_predictors(&mut self, pc: usize, pred: Prediction, (taken, next): (bool, usize)) {
+        let addr = self.program.inst_addr(pc);
+        match self.inst(pc) {
             Inst::Branch { .. } => {
-                self.fe
-                    .dir
-                    .train(addr, e.ghr_before, e.actual_taken, e.pred_taken);
+                self.fe.dir.train(addr, pred.ghr_before, taken, pred.taken);
             }
             Inst::JmpInd { .. } | Inst::CallInd { .. } if !self.cfg.core.btb.speculative_update => {
-                self.fe.btb.update(addr, e.actual_next);
+                self.fe.btb.update(addr, next);
             }
             _ => {}
         }
@@ -808,17 +834,16 @@ impl OooCore {
             // sequence number may even name a different instruction. The
             // entry's own `done_cycle` is the ground truth: only complete an
             // unfinished entry whose completion is due at this event.
-            let Some(e) = self.rob.get_mut(seq) else {
+            let Some(mut e) = self.rob.get_mut(seq) else {
                 continue;
             };
-            if e.completed || e.done_cycle != Some(d) {
+            if e.completed() || !e.issued() || e.done_cycle != d {
                 continue;
             }
-            e.completed = true;
-            e.complete_cycle = now;
-            let (tpc, tinst) = (e.pc, e.inst);
-            self.trace_event(seq, tpc, tinst, crate::trace::TraceStage::Complete);
-            let Some(e) = self.rob.get_mut(seq) else {
+            e.set_completed(now);
+            let pc = e.pc();
+            self.trace_event(seq, pc, crate::trace::TraceStage::Complete);
+            let Some(mut e) = self.rob.get_mut(seq) else {
                 continue;
             };
             if let Some(prd) = e.prd {
@@ -828,43 +853,42 @@ impl OooCore {
                 self.bq.insert(at, seq);
             } else {
                 // Nothing to broadcast: the bcast bit is trivially done.
-                e.broadcasted = true;
+                e.set_broadcasted();
             }
-            let inst = e.inst;
-            if inst.is_branch() {
-                e.branch_resolved = true;
-                let mispredicted = e.actual_next != e.pred_next;
-                e.mispredicted = mispredicted;
-                let (ghr_before, actual_taken, actual_next, ras_after) =
-                    (e.ghr_before, e.actual_taken, e.actual_next, e.ras_after);
+            if e.is_branch() {
+                e.set_resolved();
+                let pred = e.view().prediction().expect("a branch has a prediction");
+                let (actual_taken, actual_next) = e.view().outcome().expect("issued branch");
+                let mispredicted = actual_next != pred.next;
+                let inst = self.inst(pc);
                 // Speculative BTB update: happens at execution, wrong-path
                 // included, and is not reverted on squash — the covert
                 // channel of paper §3.
                 if matches!(inst, Inst::JmpInd { .. } | Inst::CallInd { .. })
                     && self.cfg.core.btb.speculative_update
                 {
-                    let addr = self.program.inst_addr(self.rob.get(seq).expect("entry").pc);
+                    let addr = self.program.inst_addr(pc);
                     self.fe.btb.update(addr, actual_next);
                 }
                 if mispredicted {
                     self.stats.branch_mispredicts += 1;
-                    self.trace_event(seq, tpc, tinst, crate::trace::TraceStage::Mispredict);
+                    self.trace_event(seq, pc, crate::trace::TraceStage::Mispredict);
                     if matches!(inst, Inst::Branch { .. }) {
-                        self.fe.dir.recover(ghr_before, actual_taken);
+                        self.fe.dir.recover(pred.ghr_before, actual_taken);
                     }
-                    if let Some(slot) = ras_after {
+                    if let Some(slot) = pred.ras_after {
                         self.fe.ras.restore(self.fe.ras_snaps.get(slot));
                     }
                     self.squash_from(seq + 1);
                     self.last_redirect_cycle = Some(now);
                     self.fe.redirect(now, actual_next);
                 }
-            } else if inst.is_store() {
+            } else if e.is_store() {
                 // Address now resolved: check younger executed loads for
                 // memory-order violations (speculative store bypass gone
                 // wrong -> replay).
                 self.check_order_violation(seq);
-            } else if matches!(inst, Inst::Fence) {
+            } else if e.is_serializing() && matches!(self.inst(pc), Inst::Fence) {
                 // Fences issue only from the ROB head, so the completing
                 // fence is always the oldest pending one.
                 let popped = self.pending_fences.pop_front();
@@ -886,10 +910,8 @@ impl OooCore {
     /// overlapping address, and whose data did not come from this store or
     /// a younger one, read stale data and must replay.
     fn check_order_violation(&mut self, store_seq: u64) {
-        let (st_addr, st_size) = {
-            let st = self.rob.get(store_seq).expect("store exists");
-            (st.mem_addr.expect("resolved"), st.mem_size)
-        };
+        let st = self.rob.get(store_seq).expect("store exists");
+        let (st_addr, st_size) = st.mem().expect("resolved");
         let mut victim: Option<(u64, usize)> = None;
         for &lseq in &self.lq {
             if lseq <= store_seq {
@@ -898,16 +920,18 @@ impl OooCore {
             let Some(l) = self.rob.get(lseq) else {
                 continue;
             };
-            let Some(l_addr) = l.mem_addr else { continue };
-            if !overlaps(st_addr, st_size, l_addr, l.mem_size) {
+            let Some((l_addr, l_size)) = l.mem() else {
+                continue;
+            };
+            if !overlaps(st_addr, st_size, l_addr, l_size) {
                 continue;
             }
-            let stale = match l.forwarded_from {
+            let stale = match l.forwarded_from() {
                 None => true,
                 Some(src) => src < store_seq,
             };
             if stale {
-                victim = Some((lseq, l.pc));
+                victim = Some((lseq, l.pc()));
                 break; // oldest violating load
             }
         }
@@ -977,7 +1001,7 @@ impl OooCore {
         else {
             return true;
         };
-        let load = e.inst.is_load_like();
+        let load = e.is_load_like();
         let branch_unsafe = match propagation {
             Propagation::Off => false,
             Propagation::Permissive => load,
@@ -1024,11 +1048,11 @@ impl OooCore {
                 break;
             }
             let e = self.rob.get(seq).expect("lq entry");
-            if !e.is_probe || !e.completed || e.exposure_done.is_some() {
+            if !e.is_probe() || !e.completed() || e.exposure_done().is_some() {
                 continue;
             }
-            let addr = e.mem_addr.expect("probe has address");
-            let done = if e.bypassed_unresolved {
+            let addr = e.mem_addr().expect("probe has address");
+            let done = if e.bypassed_unresolved() {
                 // The load speculated past an unresolved store address:
                 // InvisiSpec *validates* with a full re-access before the
                 // load may retire. MSHR-full: retry next cycle.
@@ -1043,7 +1067,8 @@ impl OooCore {
                 self.hier.install_data_line(addr);
                 now + self.cfg.mem.l1d.latency
             };
-            self.rob.get_mut(seq).expect("lq entry").exposure_done = Some(done);
+            let mut e = self.rob.get_mut(seq).expect("lq entry");
+            e.set_exposure_done(done);
         }
     }
 
@@ -1087,7 +1112,7 @@ impl OooCore {
     /// is currently tainted. Not monotone (taint clears at resolution), so
     /// the gate re-checks every cycle a ready entry is considered.
     fn taint_gated(&self, e: &RobEntry) -> bool {
-        let Some(slot) = Self::transmit_slot(&e.inst) else {
+        let Some(slot) = Self::transmit_slot(&self.inst(e.pc())) else {
             return false;
         };
         e.src_pregs[slot].is_some_and(|p| self.tainted(p))
@@ -1116,26 +1141,27 @@ impl OooCore {
                 let seq = self.bq[i];
                 let e = self.rob.get(seq).expect("queued entry is in flight");
                 let deferred = e.complete_cycle < now;
-                if deferred == fresh || !self.is_safe(e) || (deferred && !self.released(e)) {
+                if deferred == fresh || !self.is_safe(&e) || (deferred && !self.released(&e)) {
                     continue;
                 }
-                let (pc, inst, complete_cycle) = (e.pc, e.inst, e.complete_cycle);
-                self.wake(e.prd.expect("queued result"));
-                self.rob.get_mut(seq).expect("in flight").broadcasted = true;
+                let (pc, complete_cycle) = (e.pc(), e.complete_cycle);
+                let prd = e.prd.expect("queued result");
+                self.wake(prd);
+                self.rob.get_mut(seq).expect("in flight").set_broadcasted();
                 ports -= 1;
                 done += 1;
                 if deferred {
                     self.stats.deferred_broadcasts += 1;
                     self.stats.defer_hist.observe(now - complete_cycle);
                 }
-                self.trace_event(seq, pc, inst, crate::trace::TraceStage::Broadcast);
+                self.trace_event(seq, pc, crate::trace::TraceStage::Broadcast);
             }
         }
         if done > 0 {
             self.stats.broadcasts += done;
             let rob = &self.rob;
             self.bq
-                .retain(|&s| !rob.get(s).expect("queued entry is in flight").broadcasted);
+                .retain(|&s| !rob.get(s).expect("queued entry is in flight").broadcasted());
         }
     }
 
@@ -1146,7 +1172,7 @@ impl OooCore {
         self.prf.broadcast(p);
         let mut waiters = std::mem::take(&mut self.waiters[p as usize]);
         for seq in waiters.drain(..) {
-            let e = self.rob.get_mut(seq).expect("waiter is in flight");
+            let mut e = self.rob.get_mut(seq).expect("waiter is in flight");
             e.waiting -= 1;
             if e.waiting == 0 {
                 let at = self.ready.partition_point(|&s| s < seq);
@@ -1198,39 +1224,38 @@ impl OooCore {
                 break;
             }
             let e = self.rob.get(seq).expect("ready entry is in flight");
-            debug_assert!(!e.issued && e.waiting == 0);
-            // Serializing micro-ops issue only from the head of the ROB.
-            if matches!(
-                e.inst,
-                Inst::RdCycle { .. } | Inst::Fence | Inst::SpecOff | Inst::SpecOn
-            ) && head_seq != Some(seq)
-            {
+            debug_assert!(!e.issued() && e.waiting == 0);
+            // Serializing micro-ops issue only from the head of the ROB
+            // (`Halt` completes at dispatch and is never ready).
+            if e.is_serializing() && head_seq != Some(seq) {
                 continue;
             }
-            let class = e.inst.class();
             let dispatch_cycle = e.dispatch_cycle;
+            let port = if e.is_load_like() {
+                &mut load_ports
+            } else if e.is_store() {
+                &mut store_ports
+            } else if e.is_branch() {
+                &mut branch_units
+            } else {
+                &mut alu
+            };
             // STT transmit-side gate: a transmitting micro-op may not
             // issue while the operand feeding its transmit channel is
             // tainted. Checked after wakeup (the entry is otherwise ready)
             // so gated cycles are pure defense delay.
             if gate {
                 let e = self.rob.get(seq).expect("entry exists");
-                if self.taint_gated(e) {
-                    if tracing && !e.taint_gate_traced {
-                        let (pc, inst) = (e.pc, e.inst);
-                        let e = self.rob.get_mut(seq).expect("entry exists");
-                        e.taint_gate_traced = true;
-                        self.trace_event(seq, pc, inst, crate::trace::TraceStage::TaintGated);
+                if self.taint_gated(&e) {
+                    if tracing && !e.taint_gate_traced() {
+                        let pc = e.pc();
+                        let mut e = self.rob.get_mut(seq).expect("entry exists");
+                        e.set_taint_gate_traced();
+                        self.trace_event(seq, pc, crate::trace::TraceStage::TaintGated);
                     }
                     continue;
                 }
             }
-            let port = match class {
-                UopClass::Load | UopClass::LoadLike => &mut load_ports,
-                UopClass::Store => &mut store_ports,
-                UopClass::Branch => &mut branch_units,
-                _ => &mut alu,
-            };
             if *port == 0 {
                 continue;
             }
@@ -1241,9 +1266,8 @@ impl OooCore {
                 self.stats.d2i_hist.observe(now - dispatch_cycle);
                 if tracing {
                     if let Some(e) = self.rob.get(seq) {
-                        let (pc, inst) = (e.pc, e.inst);
-                        let mem = e.mem_addr.map(|a| (a, e.mem_size));
-                        self.trace_event_mem(seq, pc, inst, crate::trace::TraceStage::Issue, mem);
+                        let (pc, mem) = (e.pc(), e.mem());
+                        self.trace_event_mem(seq, pc, crate::trace::TraceStage::Issue, mem);
                     }
                 }
                 issued_idx.push(i);
@@ -1269,7 +1293,7 @@ impl OooCore {
             self.ready.truncate(w);
             // Trim the issued entries that now lead the issue queue.
             while let Some(&seq) = self.iq.front() {
-                if !self.rob.get(seq).is_some_and(|e| e.issued) {
+                if !self.rob.get(seq).is_some_and(|e| e.issued()) {
                     break;
                 }
                 self.iq.pop_front();
@@ -1283,10 +1307,10 @@ impl OooCore {
     fn try_issue(&mut self, seq: u64) -> bool {
         let now = self.cycle;
         let e = self.rob.get(seq).expect("iq entry exists");
-        let inst = e.inst;
-        let a = self.operand(e, 0);
-        let b = self.operand(e, 1);
-        let pc = e.pc;
+        let pc = e.pc();
+        let inst = self.inst(pc);
+        let a = self.operand(&e, 0);
+        let b = self.operand(&e, 1);
 
         let (result, done, extras) = match inst {
             Inst::Li { imm, .. } => (imm, now + 1, IssueExtras::default()),
@@ -1418,42 +1442,39 @@ impl OooCore {
             }
         };
 
-        let e = self.rob.get_mut(seq).expect("entry");
-        e.issued = true;
-        e.issue_cycle = now;
-        e.done_cycle = Some(done);
+        let mut e = self.rob.get_mut(seq).expect("entry");
+        e.set_issued(done);
         e.result = result;
-        self.events.push(Reverse((done, seq)));
-        let e = self.rob.get_mut(seq).expect("entry");
         if let Some((taken, next)) = extras.actual {
-            e.actual_taken = taken;
-            e.actual_next = next;
+            e.set_outcome(taken, next);
         }
         if let Some((addr, size)) = extras.mem {
-            e.mem_addr = Some(addr);
-            e.mem_size = size;
+            e.set_mem(addr, size);
         }
         if let Some(d) = extras.store_data {
-            e.store_data = Some(d);
+            e.set_store_data(d);
         }
-        if extras.fault.is_some() {
-            e.fault = extras.fault;
+        if let Some(fault) = extras.fault {
+            e.set_fault(fault);
         }
         if let Some(f) = extras.forwarded_from {
-            e.forwarded_from = Some(f);
+            e.set_forwarded_from(f);
         }
         if extras.bypassed {
-            e.bypassed_unresolved = true;
-            self.stats.store_bypasses += 1;
+            e.set_bypassed();
         }
         if extras.is_probe {
-            e.is_probe = true;
+            e.set_probe();
         }
-        if extras.level.is_some() {
-            e.mem_level = extras.level;
-            if extras.level != Some(nda_mem::Level::L1) {
-                self.trace_event(seq, pc, inst, crate::trace::TraceStage::CacheMiss);
-            }
+        if let Some(level) = extras.level {
+            e.set_mem_level(level);
+        }
+        self.events.push(Reverse((done, seq)));
+        if extras.bypassed {
+            self.stats.store_bypasses += 1;
+        }
+        if extras.level.is_some_and(|l| l != nda_mem::Level::L1) {
+            self.trace_event(seq, pc, crate::trace::TraceStage::CacheMiss);
         }
         true
     }
@@ -1486,7 +1507,7 @@ impl OooCore {
                 continue;
             }
             let st = self.rob.get(sseq).expect("sq entry");
-            if !st.completed {
+            if !st.completed() {
                 // Unresolved address: bypass speculatively or wait.
                 if self.cfg.core.speculative_store_bypass {
                     extras.bypassed = true;
@@ -1494,14 +1515,14 @@ impl OooCore {
                 }
                 return None;
             }
-            let st_addr = st.mem_addr.expect("completed store");
-            if !overlaps(st_addr, st.mem_size, addr, size) {
+            let (st_addr, st_size) = st.mem().expect("completed store");
+            if !overlaps(st_addr, st_size, addr, size) {
                 continue;
             }
-            if st_addr <= addr && addr + size <= st_addr + st.mem_size {
+            if st_addr <= addr && addr + size <= st_addr + st_size {
                 // Full coverage: forward.
                 let shift = (addr - st_addr) * 8;
-                let data = st.store_data.expect("completed store");
+                let data = st.store_data().expect("completed store");
                 let val = extract_bytes(data >> shift, size);
                 forwarded = Some((sseq, val));
                 break;
@@ -1576,17 +1597,17 @@ impl OooCore {
             if (self.spec_window || self.specoff_pending > 0) && !self.rob.is_empty() {
                 break;
             }
-            let class = uop.inst.class();
-            let needs_lq = matches!(class, UopClass::Load | UopClass::LoadLike);
+            let inst = self.inst(uop.pc);
+            let (needs_lq, needs_sq) = (inst.is_load_like(), inst.is_store());
             if needs_lq && self.lq.len() >= self.cfg.core.lq_entries {
                 self.dispatch_block = Some(DispatchBlock::Lsq);
                 break;
             }
-            if class == UopClass::Store && self.sq.len() >= self.cfg.core.sq_entries {
+            if needs_sq && self.sq.len() >= self.cfg.core.sq_entries {
                 self.dispatch_block = Some(DispatchBlock::Lsq);
                 break;
             }
-            if uop.inst.dest().is_some() && self.free.available() == 0 {
+            if inst.dest().is_some() && self.free.available() == 0 {
                 // Register exhaustion binds retirement like a full ROB.
                 self.dispatch_block = Some(DispatchBlock::Rob);
                 break;
@@ -1594,7 +1615,6 @@ impl OooCore {
             let uop = self.fe.pop_ready(now).expect("peeked");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let inst = uop.inst;
 
             // Rename sources, then destination, into locals: the entry is
             // then built where it lives, in its ROB slot.
@@ -1620,11 +1640,8 @@ impl OooCore {
                 dest = Some((rd, prd, self.rename.rename(rd, prd)));
             }
 
-            let e = self.rob.alloc(seq, uop.pc, inst, now);
-            e.pred_next = uop.pred_next;
-            e.pred_taken = uop.pred_taken;
-            e.ghr_before = uop.ghr_before;
-            e.ras_after = uop.ras_after;
+            let mut e = self.rob.alloc(seq, uop.pc, inst, now);
+            e.set_prediction(uop.pred);
             e.src_pregs = src_pregs;
             if let Some((rd, prd, old)) = dest {
                 e.arch_rd = Some(rd);
@@ -1638,29 +1655,24 @@ impl OooCore {
                 // in the instruction word, so it creates no unsafe border
                 // and never mispredicts.
                 Inst::Jmp { target } => {
-                    e.branch_resolved = true;
-                    e.actual_taken = true;
-                    e.actual_next = target;
-                    e.completed = true;
-                    e.complete_cycle = now;
-                    e.broadcasted = true;
+                    e.set_resolved();
+                    e.set_outcome(true, target);
+                    e.set_completed(now);
+                    e.set_broadcasted();
                     enqueue = false;
                 }
                 Inst::Call { target } => {
-                    e.branch_resolved = true;
-                    e.actual_taken = true;
-                    e.actual_next = target;
-                    e.completed = true;
-                    e.complete_cycle = now;
+                    e.set_resolved();
+                    e.set_outcome(true, target);
+                    e.set_completed(now);
                     e.result = (uop.pc + 1) as u64;
                     self.prf.write(e.prd.expect("call writes ra"), e.result);
                     self.bq.push(seq);
                     enqueue = false;
                 }
                 Inst::Nop | Inst::Halt => {
-                    e.completed = true;
-                    e.complete_cycle = now;
-                    e.broadcasted = true;
+                    e.set_completed(now);
+                    e.set_broadcasted();
                     enqueue = false;
                 }
                 Inst::SpecOff => self.specoff_pending += 1,
@@ -1670,7 +1682,7 @@ impl OooCore {
             if needs_lq {
                 self.lq.push(seq);
             }
-            if class == UopClass::Store {
+            if needs_sq {
                 self.sq.push(seq);
             }
             if enqueue {
@@ -1686,10 +1698,10 @@ impl OooCore {
                     self.ready.push(seq);
                 }
             }
-            let completed = e.completed;
-            self.trace_event(seq, uop.pc, inst, crate::trace::TraceStage::Dispatch);
+            let completed = e.completed();
+            self.trace_event(seq, uop.pc, crate::trace::TraceStage::Dispatch);
             if completed {
-                self.trace_event(seq, uop.pc, inst, crate::trace::TraceStage::Complete);
+                self.trace_event(seq, uop.pc, crate::trace::TraceStage::Complete);
             }
         }
     }
@@ -1707,23 +1719,23 @@ impl OooCore {
         let mut ras_cut = None;
         while let Some(e) = self.rob.pop_tail_from(min_seq) {
             any = true;
-            ras_cut = e.ras_after.or(ras_cut);
-            if !e.issued && !e.completed {
+            ras_cut = e.ras_after().or(ras_cut);
+            if !e.issued() && !e.completed() {
                 self.iq_len -= 1;
             }
             if e.waiting > 0 {
-                pop_squashed(&mut self.waiters, e, min_seq);
+                pop_squashed(&mut self.waiters, &e, min_seq);
             }
-            pop_squashed(&mut self.stt.consumers, e, min_seq);
-            if e.issued {
+            pop_squashed(&mut self.stt.consumers, &e, min_seq);
+            if e.issued() {
                 self.stats.wrong_path_executed += 1;
             }
-            if matches!(e.inst, Inst::SpecOff) {
+            if e.is_serializing() && matches!(self.program.insts[e.pc()], Inst::SpecOff) {
                 self.specoff_pending -= 1;
             }
-            let (seq, pc, inst) = (e.seq, e.pc, e.inst);
+            let (seq, pc) = (e.seq, e.pc());
             let dest = (e.arch_rd, e.prd, e.old_prd);
-            self.trace_event(seq, pc, inst, crate::trace::TraceStage::Squash);
+            self.trace_event(seq, pc, crate::trace::TraceStage::Squash);
             if let (Some(rd), Some(prd), Some(old)) = dest {
                 debug_assert_eq!(self.rename.lookup(rd), prd, "LIFO unwind invariant");
                 self.rename.restore(rd, old);
@@ -1801,32 +1813,32 @@ impl OooCore {
             CpiClass::NdaDelay
         } else {
             let head = self.rob.head().expect("rob checked non-empty");
-            let memish = head.inst.is_load_like() || head.inst.is_store();
-            let exposure_pending = head.is_probe
-                && head.completed
-                && head.exposure_done.map(|d| d <= now) != Some(true);
+            let memish = head.is_load_like() || head.is_store();
+            let exposure_pending = head.is_probe()
+                && head.completed()
+                && head.exposure_done().map(|d| d <= now) != Some(true);
             if exposure_pending {
                 // A completed probe whose exposure/validation is still in
                 // flight is waiting on the memory system, not the backend.
-                mem_class(head.mem_level)
-            } else if head.completed {
-                if head.inst.is_store() {
+                mem_class(head.mem_level())
+            } else if head.completed() {
+                if head.is_store() {
                     // A completed store head only stalls retirement when
                     // its commit-time cache fill cannot get an MSHR.
                     CpiClass::MemDram
                 } else {
                     CpiClass::BackendExec
                 }
-            } else if head.issued {
+            } else if head.issued() {
                 if memish {
-                    mem_class(head.mem_level)
+                    mem_class(head.mem_level())
                 } else {
                     CpiClass::BackendExec
                 }
             } else if memish {
                 // An un-issued memory head (LSQ dependence, delay-on-miss,
                 // MSHR retry): level unknown until issue.
-                mem_class(head.mem_level)
+                mem_class(head.mem_level())
             } else {
                 match self.dispatch_block {
                     Some(DispatchBlock::Rob) => CpiClass::BackendRobFull,
@@ -1857,7 +1869,7 @@ impl OooCore {
                 let Some(e) = self.iq.front().and_then(|&seq| self.rob.get(seq)) else {
                     return false;
                 };
-                return e.waiting == 0 && self.taint_gated(e);
+                return e.waiting == 0 && self.taint_gated(&e);
             }
             Defense::DelayBroadcast { .. } | Defense::InvisibleLoad(_) => {}
         }
@@ -1867,15 +1879,15 @@ impl OooCore {
         // memory by the classifier, but a *hit* probe awaiting exposure is
         // pure defense overhead.
         if let Some(h) = self.rob.head() {
-            if h.is_probe
-                && h.completed
-                && h.exposure_done.map(|d| d <= now) != Some(true)
-                && h.mem_level == Some(nda_mem::Level::L1)
+            if h.is_probe()
+                && h.completed()
+                && h.exposure_done().map(|d| d <= now) != Some(true)
+                && h.mem_level() == Some(nda_mem::Level::L1)
             {
                 return true;
             }
             // NDA proper: a completed head whose tag broadcast is withheld.
-            if h.completed && !h.broadcasted && h.prd.is_some() && !self.released(h) {
+            if h.completed() && !h.broadcasted() && h.prd.is_some() && !self.released(&h) {
                 return true;
             }
         }
@@ -1898,7 +1910,7 @@ impl OooCore {
             let Some(prod) = prod.filter(|pe| pe.prd == Some(p)) else {
                 return false;
             };
-            if !prod.completed || prod.broadcasted || self.released(prod) {
+            if !prod.completed() || prod.broadcasted() || self.released(&prod) {
                 return false;
             }
             any_withheld = true;
@@ -1939,20 +1951,20 @@ impl OooCore {
         self.rob
             .iter()
             .map(|e| {
-                let state = if e.completed {
-                    if e.broadcasted {
+                let state = if e.completed() {
+                    if e.broadcasted() {
                         RobCellState::CompletedBroadcast
                     } else {
                         RobCellState::CompletedUnsafe
                     }
-                } else if e.issued {
+                } else if e.issued() {
                     RobCellState::Executing
                 } else {
                     RobCellState::NotReady
                 };
                 RobView {
-                    pc: e.pc,
-                    disasm: e.inst.to_string(),
+                    pc: e.pc(),
+                    disasm: self.inst(e.pc()).to_string(),
                     state,
                     unresolved_branch: e.is_unresolved_branch(),
                 }
@@ -2041,7 +2053,7 @@ impl TaintFrontier {
     fn rule(&self, e: &RobEntry, shadow: &Shadow, border: Border) -> bool {
         let mut srcs = e.src_pregs.iter().flatten();
         srcs.any(|&p| self.bits[p as usize] || self.prev[p as usize])
-            || (e.inst.is_load_like() && shadow.covers(border, e.seq))
+            || (e.is_load_like() && shadow.covers(border, e.seq))
     }
 
     /// Re-apply the rule to walked entry `seq`, recording a clear. A stale
@@ -2053,7 +2065,7 @@ impl TaintFrontier {
         }
         let Some(e) = rob.get(seq) else { return };
         let Some(prd) = e.prd else { return };
-        if self.bits[prd as usize] && !self.rule(e, shadow, border) {
+        if self.bits[prd as usize] && !self.rule(&e, shadow, border) {
             self.bits[prd as usize] = false;
             self.cleared_now.push(prd);
         }
@@ -2083,7 +2095,7 @@ impl TaintFrontier {
         let mut seq = self.walked.max(rob.head().map_or(u64::MAX, |e| e.seq));
         while let Some(e) = rob.get(seq) {
             if let Some(prd) = e.prd {
-                let tainted = self.rule(e, shadow, border);
+                let tainted = self.rule(&e, shadow, border);
                 // Nothing reads the fresh register's image this cycle
                 // except younger fresh consumers, which read its bit too.
                 self.bits[prd as usize] = tainted;
@@ -2127,46 +2139,6 @@ impl TaintFrontier {
     /// After a squash from `min_seq`: the reused numbers are not walked.
     fn rewind(&mut self, min_seq: u64) {
         self.walked = self.walked.min(min_seq);
-    }
-}
-
-/// What retirement reads of the entry commit pops, copied out of its ROB
-/// slot so the rest of commit can borrow the core.
-struct Retired {
-    seq: u64,
-    pc: usize,
-    inst: Inst,
-    arch_rd: Option<nda_isa::Reg>,
-    prd: Option<PReg>,
-    old_prd: Option<PReg>,
-    result: u64,
-    broadcasted: bool,
-    complete_cycle: u64,
-    ras_after: Option<RasSlot>,
-    ghr_before: u64,
-    pred_taken: bool,
-    actual_taken: bool,
-    actual_next: usize,
-}
-
-impl Retired {
-    fn of(e: &RobEntry) -> Retired {
-        Retired {
-            seq: e.seq,
-            pc: e.pc,
-            inst: e.inst,
-            arch_rd: e.arch_rd,
-            prd: e.prd,
-            old_prd: e.old_prd,
-            result: e.result,
-            broadcasted: e.broadcasted,
-            complete_cycle: e.complete_cycle,
-            ras_after: e.ras_after,
-            ghr_before: e.ghr_before,
-            pred_taken: e.pred_taken,
-            actual_taken: e.actual_taken,
-            actual_next: e.actual_next,
-        }
     }
 }
 

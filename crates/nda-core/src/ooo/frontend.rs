@@ -17,25 +17,32 @@ use nda_mem::{Level, MemHier};
 use nda_predict::{Btb, DirPredictor, Ras, RasSnapshot};
 use std::collections::VecDeque;
 
-/// A fetched, predicted micro-op waiting to dispatch.
+/// A fetched, predicted micro-op waiting to dispatch. It carries no copy
+/// of the instruction: dispatch reads `program.insts[pc]`.
 #[derive(Debug, Clone)]
 pub struct FetchedUop {
     /// Instruction index.
     pub pc: usize,
-    /// The decoded micro-op.
-    pub inst: Inst,
-    /// Predicted next PC (where fetch went after this).
-    pub pred_next: usize,
     /// Cycle at which dispatch may consume this micro-op.
     pub ready_cycle: u64,
-    /// Predicted direction (conditional branches only).
-    pub pred_taken: bool,
+    /// What fetch predicted; a branch carries it into its ROB entry.
+    pub pred: Prediction,
+}
+
+/// Fetch's prediction for one micro-op, and the predictor state a
+/// misprediction recovery or commit-time training needs back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Prediction {
+    /// Predicted next PC (where fetch went after this).
+    pub next: usize,
     /// GHR snapshot just before predicting this branch.
     pub ghr_before: u64,
     /// Ring slot of the RAS snapshot taken just after this micro-op's own
     /// push/pop (conditional branches, indirect jumps and calls, returns:
     /// what can mispredict).
     pub ras_after: Option<RasSlot>,
+    /// Predicted direction (conditional branches only).
+    pub taken: bool,
 }
 
 /// Names one snapshot in the front end's `RasRing`. Slots count up in
@@ -145,7 +152,7 @@ impl FrontEnd {
     /// Squash recovery: discard everything fetched (and its RAS
     /// snapshots), restart at `pc` next cycle.
     pub fn redirect(&mut self, now: u64, pc: usize) {
-        if let Some(slot) = self.queue.iter().find_map(|u| u.ras_after) {
+        if let Some(slot) = self.queue.iter().find_map(|u| u.pred.ras_after) {
             self.ras_snaps.truncate(slot);
         }
         self.queue.clear();
@@ -204,50 +211,49 @@ impl FrontEnd {
 
             let mut uop = FetchedUop {
                 pc,
-                inst,
-                pred_next: pc + 1,
                 ready_cycle: now + self.cfg.fetch_to_dispatch,
-                pred_taken: false,
-                ghr_before: 0,
-                ras_after: None,
+                pred: Prediction {
+                    next: pc + 1,
+                    ..Prediction::default()
+                },
             };
             let mut redirect_target: Option<usize> = None;
             match inst {
                 Inst::Branch { target, .. } => {
-                    uop.ghr_before = self.dir.ghr();
-                    uop.pred_taken = self.dir.predict(addr);
-                    if uop.pred_taken {
-                        uop.pred_next = target;
+                    uop.pred.ghr_before = self.dir.ghr();
+                    uop.pred.taken = self.dir.predict(addr);
+                    if uop.pred.taken {
+                        uop.pred.next = target;
                         redirect_target = Some(target);
                     }
                 }
                 // Direct jumps resolve at dispatch and never mispredict:
                 // no snapshot.
                 Inst::Jmp { target } => {
-                    uop.pred_next = target;
+                    uop.pred.next = target;
                     redirect_target = Some(target);
                 }
                 Inst::Call { target } => {
                     self.ras.push(pc + 1);
-                    uop.pred_next = target;
+                    uop.pred.next = target;
                     redirect_target = Some(target);
                 }
                 Inst::JmpInd { .. } => {
                     if let Some(t) = self.btb.lookup(addr) {
-                        uop.pred_next = t;
+                        uop.pred.next = t;
                         redirect_target = Some(t);
                     }
                 }
                 Inst::CallInd { .. } => {
                     self.ras.push(pc + 1);
                     if let Some(t) = self.btb.lookup(addr) {
-                        uop.pred_next = t;
+                        uop.pred.next = t;
                         redirect_target = Some(t);
                     }
                 }
                 Inst::Ret => {
                     if let Some(t) = self.ras.pop() {
-                        uop.pred_next = t;
+                        uop.pred.next = t;
                         redirect_target = Some(t);
                     }
                 }
@@ -257,9 +263,9 @@ impl FrontEnd {
                 inst,
                 Inst::Branch { .. } | Inst::JmpInd { .. } | Inst::CallInd { .. } | Inst::Ret
             ) {
-                uop.ras_after = Some(self.ras_snaps.push(self.ras.snapshot()));
+                uop.pred.ras_after = Some(self.ras_snaps.push(self.ras.snapshot()));
             }
-            let taken_redirect = redirect_target.is_some() && uop.pred_next != pc + 1;
+            let taken_redirect = redirect_target.is_some() && uop.pred.next != pc + 1;
             self.queue.push_back(uop);
             if let Some(t) = redirect_target {
                 self.fetch_pc = t;
@@ -340,7 +346,7 @@ mod tests {
         assert_eq!(f.queued(), 1);
         assert_eq!(f.fetch_pc, 2);
         let u = f.pop_ready(203).unwrap();
-        assert_eq!(u.pred_next, 2);
+        assert_eq!(u.pred.next, 2);
     }
 
     #[test]
@@ -358,10 +364,10 @@ mod tests {
         f.fetch_cycle(200, &p, &mut h); // fetches call, redirects to 2
         f.fetch_cycle(201, &p, &mut h); // fetches ret, predicts 1 via RAS
         let call = f.pop_ready(205).unwrap();
-        assert_eq!(call.pred_next, 2);
+        assert_eq!(call.pred.next, 2);
         let ret = f.pop_ready(206).unwrap();
-        assert!(matches!(ret.inst, Inst::Ret));
-        assert_eq!(ret.pred_next, 1, "RAS predicted the return");
+        assert_eq!(p.fetch(ret.pc), Some(Inst::Ret));
+        assert_eq!(ret.pred.next, 1, "RAS predicted the return");
     }
 
     #[test]
@@ -376,7 +382,7 @@ mod tests {
         f.fetch_cycle(0, &p, &mut h);
         f.fetch_cycle(200, &p, &mut h);
         let u = f.pop_ready(210).unwrap();
-        assert_eq!(u.pred_next, 1, "BTB miss predicts fall-through");
+        assert_eq!(u.pred.next, 1, "BTB miss predicts fall-through");
     }
 
     #[test]
@@ -414,14 +420,14 @@ mod tests {
         let mut h = warm_hier();
         f.fetch_cycle(0, &p, &mut h);
         f.fetch_cycle(200, &p, &mut h);
-        let held: Vec<_> = f.queue().filter_map(|u| u.ras_after).collect();
+        let held: Vec<_> = f.queue().filter_map(|u| u.pred.ras_after).collect();
         assert_eq!(held, vec![0, 1]);
         assert_eq!(f.ras_snaps.slots().collect::<Vec<_>>(), held);
         let branch = f.pop_ready(203).unwrap();
         f.redirect(204, 1);
         // The dispatched branch keeps its snapshot; the queued ret's goes.
         assert_eq!(f.ras_snaps.slots().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(branch.ras_after, Some(0));
+        assert_eq!(branch.pred.ras_after, Some(0));
     }
 
     #[test]

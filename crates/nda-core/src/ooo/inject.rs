@@ -34,7 +34,7 @@ impl OooCore {
         }
         let head_seq = self.rob.head().expect("non-empty rob").seq;
         let seq = head_seq + pick % len;
-        let pc = self.rob.get(seq).expect("seq within occupancy").pc;
+        let pc = self.rob.get(seq).expect("seq within occupancy").pc();
         let now = self.cycle();
         self.squash_from(seq);
         self.fe.redirect(now, pc);

@@ -42,7 +42,6 @@
 use super::core::OooCore;
 use crate::policy::Defense;
 use crate::snapshot::PipelineSnapshot;
-use nda_isa::inst::UopClass;
 use std::fmt;
 
 /// Which conservation law broke.
@@ -207,8 +206,7 @@ fn ripple_taint(core: &OooCore) -> Option<TaintWalk> {
         let Some(prd) = e.prd else { continue };
         let mut srcs = e.src_pregs.iter().flatten();
         let inherited = srcs.any(|&p| bits[p as usize] || prev(p as usize));
-        bits[prd as usize] =
-            inherited || (e.inst.is_load_like() && core.shadow.covers(border, e.seq));
+        bits[prd as usize] = inherited || (e.is_load_like() && core.shadow.covers(border, e.seq));
     }
     Some(TaintWalk {
         cycle: now,
@@ -252,7 +250,7 @@ fn check_preg_conservation(core: &OooCore) -> Option<(InvariantKind, String)> {
             if let Some(d) = claim(prd as usize, "in-flight rob destination") {
                 return Some((
                     InvariantKind::PregConservation,
-                    format!("{d} (seq {} pc {} `{}`)", e.seq, e.pc, e.inst),
+                    format!("{d} (seq {} pc {} `{}`)", e.seq, e.pc(), core.inst(e.pc())),
                 ));
             }
         }
@@ -292,15 +290,17 @@ fn check_rob_order(core: &OooCore) -> Option<(InvariantKind, String)> {
                     InvariantKind::RobOrder,
                     format!(
                         "seq {} pc {} `{}` reads p{src}, which is on the free list",
-                        e.seq, e.pc, e.inst
+                        e.seq,
+                        e.pc(),
+                        core.inst(e.pc())
                     ),
                 ));
             }
         }
     }
-    let rob_slots = core.rob.iter().filter_map(|e| e.ras_after);
+    let rob_slots = core.rob.iter().filter_map(|e| e.ras_after());
     let want: Vec<_> = rob_slots
-        .chain(core.fe.queue().filter_map(|u| u.ras_after))
+        .chain(core.fe.queue().filter_map(|u| u.pred.ras_after))
         .collect();
     let live: Vec<_> = core.fe.ras_snaps.slots().collect();
     (live != want).then(|| {
@@ -315,7 +315,7 @@ fn check_lsq_order(core: &OooCore) -> Option<(InvariantKind, String)> {
     let want_lq: Vec<u64> = core
         .rob
         .iter()
-        .filter(|e| matches!(e.inst.class(), UopClass::Load | UopClass::LoadLike))
+        .filter(|e| e.is_load_like())
         .map(|e| e.seq)
         .collect();
     if core.lq != want_lq {
@@ -327,7 +327,7 @@ fn check_lsq_order(core: &OooCore) -> Option<(InvariantKind, String)> {
     let want_sq: Vec<u64> = core
         .rob
         .iter()
-        .filter(|e| e.inst.class() == UopClass::Store)
+        .filter(|e| e.is_store())
         .map(|e| e.seq)
         .collect();
     if core.sq != want_sq {
@@ -343,11 +343,11 @@ fn check_lsq_order(core: &OooCore) -> Option<(InvariantKind, String)> {
 /// entries; it is ascending, and its un-issued entries are exactly those,
 /// the oldest at its front.
 fn check_iq_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
-    let unissued = |e: &super::rob::RobEntry| !e.issued && !e.completed;
+    let unissued = |e: super::rob::Slot<'_>| !e.issued() && !e.completed();
     let want: Vec<u64> = core
         .rob
         .iter()
-        .filter(|e| unissued(e))
+        .filter(|&e| unissued(e))
         .map(|e| e.seq)
         .collect();
     let fail = |what: String| Some((InvariantKind::IqConsistency, what));
@@ -400,14 +400,14 @@ fn check_ready_consistency(core: &OooCore) -> Option<(InvariantKind, String)> {
             let d = format!(
                 "seq {} pc {} `{}` waits on {} sources but {} are invisible",
                 e.seq,
-                e.pc,
-                e.inst,
+                e.pc(),
+                core.inst(e.pc()),
                 e.waiting,
                 invisible.len()
             );
             return Some((InvariantKind::ReadyConsistency, d));
         }
-        if !e.issued && !e.completed {
+        if !e.issued() && !e.completed() {
             for &p in invisible {
                 want_waiters[p as usize].push(e.seq);
             }
@@ -442,17 +442,22 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
     for e in core.rob.iter() {
         let Some(prd) = e.prd else { continue };
         let visible = core.prf.is_visible(prd);
-        let broken = if !e.broadcasted {
+        let broken = if !e.broadcasted() {
             visible.then_some("is visible without a broadcast: the NDA gap is breached")
-        } else if !e.completed {
+        } else if !e.completed() {
             Some("broadcast before completing")
-        } else if !core.is_safe(e) {
+        } else if !core.is_safe(&e) {
             Some("broadcast while unsafe under the active policy")
         } else {
             (!visible).then_some("is marked broadcast but not visible")
         };
         if let Some(what) = broken {
-            let at = format!("seq {} pc {} `{}` (p{prd})", e.seq, e.pc, e.inst);
+            let at = format!(
+                "seq {} pc {} `{}` (p{prd})",
+                e.seq,
+                e.pc(),
+                core.inst(e.pc())
+            );
             return Some((InvariantKind::NdaSafety, format!("{at} {what}")));
         }
     }
@@ -467,7 +472,7 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
     let pending = core
         .rob
         .iter()
-        .filter(|e| e.completed && !e.broadcasted && e.prd.is_some());
+        .filter(|e| e.completed() && !e.broadcasted() && e.prd.is_some());
     let pending: Vec<u64> = pending.map(|e| e.seq).collect();
     (core.bq != pending).then(|| {
         let d = format!(
@@ -489,7 +494,7 @@ fn check_nda_safety(core: &OooCore) -> Option<(InvariantKind, String)> {
 /// whole-ROB walk (when there is one this cycle).
 fn check_taint_gate(core: &OooCore, walk: Option<&[bool]>) -> Option<(InvariantKind, String)> {
     let fail = |e: &super::rob::RobEntry, what: String| {
-        let at = format!("seq {} pc {} `{}`", e.seq, e.pc, e.inst);
+        let at = format!("seq {} pc {} `{}`", e.seq, e.pc(), core.inst(e.pc()));
         Some((InvariantKind::TaintGate, format!("{at} {what}")))
     };
     let stt_border = match core.cfg.defense {
@@ -504,15 +509,15 @@ fn check_taint_gate(core: &OooCore, walk: Option<&[bool]>) -> Option<(InvariantK
         if let Some(prd) = e.prd {
             in_flight[prd as usize] = true;
             let root = core.yrot[prd as usize];
-            if root > e.seq || (e.inst.is_load_like() && root != e.seq) {
-                return fail(e, format!("has root of taint {root} for p{prd}"));
+            if root > e.seq || (e.is_load_like() && root != e.seq) {
+                return fail(&e, format!("has root of taint {root} for p{prd}"));
             }
             // The walk first sees an entry the cycle after its dispatch.
             let walked = e.dispatch_cycle + 1 < core.cycle();
             let flash = stt_border.is_some_and(|b| walked && core.shadow.covers(b, root));
             if flash && !core.tainted(prd) {
                 return fail(
-                    e,
+                    &e,
                     format!("left p{prd} untainted, root {root} in the shadow"),
                 );
             }
@@ -520,13 +525,14 @@ fn check_taint_gate(core: &OooCore, walk: Option<&[bool]>) -> Option<(InvariantK
                 let (frontier, want) = (core.stt.bits[prd as usize], walk[prd as usize]);
                 if frontier != want {
                     let d = format!("has frontier taint {frontier} for p{prd}, the walk {want}");
-                    return fail(e, d);
+                    return fail(&e, d);
                 }
             }
         }
-        let transmit = OooCore::transmit_slot(&e.inst).and_then(|slot| e.src_pregs[slot]);
-        if let Some(p) = transmit.filter(|&p| e.issued && core.tainted(p)) {
-            return fail(e, format!("issued with tainted transmit operand p{p}"));
+        let transmit =
+            OooCore::transmit_slot(&core.inst(e.pc())).and_then(|slot| e.src_pregs[slot]);
+        if let Some(p) = transmit.filter(|&p| e.issued() && core.tainted(p)) {
+            return fail(&e, format!("issued with tainted transmit operand p{p}"));
         }
     }
     let stale = |p: usize| core.yrot[p] != 0 || core.stt.bits.get(p) == Some(&true);
@@ -659,7 +665,7 @@ mod tests {
         let issued = *core
             .iq
             .iter()
-            .find(|&&s| core.rob.get(s).unwrap().issued)
+            .find(|&&s| core.rob.get(s).unwrap().issued())
             .unwrap();
         core.iq.push_front(issued);
         let v = check(&mut core).unwrap_err();

@@ -58,6 +58,25 @@ pub enum DecodeError {
         /// Byte offset of the varint's first byte.
         at: usize,
     },
+    /// A fault-handler presence byte other than 0 (none) or 1 (present).
+    BadHandlerFlag(u8),
+    /// A section count larger than the bytes left could hold, each
+    /// element at its smallest encoding.
+    CountPastInput {
+        /// The count being decoded.
+        field: &'static str,
+        /// The count the varint encodes.
+        count: u64,
+        /// Bytes left after the count.
+        left: usize,
+    },
+    /// Bytes after the last section.
+    TrailingBytes {
+        /// Byte offset of the first byte past the program.
+        at: usize,
+        /// How many bytes follow it.
+        len: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -72,6 +91,15 @@ impl fmt::Display for DecodeError {
             DecodeError::OutOfRange { field, value } => write!(f, "{field} {value} out of range"),
             DecodeError::NonCanonicalVarint { at } => {
                 write!(f, "non-canonical varint at byte {at}")
+            }
+            DecodeError::BadHandlerFlag(b) => {
+                write!(f, "fault-handler flag {b} is neither 0 nor 1")
+            }
+            DecodeError::CountPastInput { field, count, left } => {
+                write!(f, "{field} {count} exceeds the {left} bytes left")
+            }
+            DecodeError::TrailingBytes { at, len } => {
+                write!(f, "trailing bytes after the program: {len} from byte {at}")
             }
         }
     }
@@ -495,6 +523,22 @@ pub fn encode_program(p: &Program) -> Vec<u8> {
     out
 }
 
+/// A section's element count, refused if the bytes left could not hold
+/// that many elements of at least `min_size` bytes each.
+fn get_count(
+    buf: &[u8],
+    pos: &mut usize,
+    field: &'static str,
+    min_size: usize,
+) -> Result<usize, DecodeError> {
+    let count = get_varint(buf, pos)?;
+    let left = buf.len() - *pos;
+    match usize::try_from(count) {
+        Ok(n) if n <= left / min_size => Ok(n),
+        _ => Err(DecodeError::CountPastInput { field, count, left }),
+    }
+}
+
 /// The next entry of a delta-encoded list: `prev` plus the delta at `pos`.
 fn next_address(prev: u64, buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     prev.checked_add(get_varint(buf, pos)?)
@@ -515,18 +559,21 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
     let text_base = get_varint(buf, &mut pos)?;
     let has_handler = *buf.get(pos).ok_or(DecodeError::Truncated)?;
     pos += 1;
-    let fault_handler = if has_handler != 0 {
-        Some(get_field(buf, &mut pos, "fault handler")?)
-    } else {
-        None
+    let fault_handler = match has_handler {
+        0 => None,
+        1 => Some(get_field(buf, &mut pos, "fault handler")?),
+        b => return Err(DecodeError::BadHandlerFlag(b)),
     };
-    let n: usize = get_field(buf, &mut pos, "instruction count")?;
-    let mut insts = Vec::with_capacity(n.min(1 << 20));
+    // Every count is checked against the bytes left, with each element's
+    // smallest encoding, before anything is reserved for it.
+    let n = get_count(buf, &mut pos, "instruction count", 1)?;
+    let mut insts = Vec::with_capacity(n);
     for _ in 0..n {
         insts.push(decode(buf, &mut pos)?);
     }
-    let nd: usize = get_field(buf, &mut pos, "data count")?;
-    let mut data = Vec::with_capacity(nd.min(1 << 16));
+    // A data initializer is at least an address and a length.
+    let nd = get_count(buf, &mut pos, "data count", 2)?;
+    let mut data = Vec::with_capacity(nd);
     for _ in 0..nd {
         let addr = get_varint(buf, &mut pos)?;
         let len: usize = get_field(buf, &mut pos, "data length")?;
@@ -535,20 +582,20 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
         pos = end;
         data.push(DataInit { addr, bytes });
     }
-    let nm: usize = get_field(buf, &mut pos, "msr value count")?;
-    let mut msr_values = Vec::with_capacity(nm.min(1 << 16));
+    let nm = get_count(buf, &mut pos, "msr value count", 2)?;
+    let mut msr_values = Vec::with_capacity(nm);
     for _ in 0..nm {
         let idx = get_field(buf, &mut pos, "msr index")?;
         let v = get_varint(buf, &mut pos)?;
         msr_values.push((idx, v));
     }
-    let no: usize = get_field(buf, &mut pos, "msr user-ok count")?;
-    let mut msr_user_ok = Vec::with_capacity(no.min(1 << 16));
+    let no = get_count(buf, &mut pos, "msr user-ok count", 1)?;
+    let mut msr_user_ok = Vec::with_capacity(no);
     for _ in 0..no {
         msr_user_ok.push(get_field(buf, &mut pos, "msr index")?);
     }
-    let nc: usize = get_field(buf, &mut pos, "code-pointer count")?;
-    let mut code_ptr_lis = Vec::with_capacity(nc.min(1 << 16));
+    let nc = get_count(buf, &mut pos, "code-pointer count", 1)?;
+    let mut code_ptr_lis = Vec::with_capacity(nc);
     let mut prev = 0u64;
     for _ in 0..nc {
         prev = next_address(prev, buf, &mut pos)?;
@@ -562,13 +609,19 @@ pub fn decode_program(buf: &[u8]) -> Result<Program, DecodeError> {
     // written by older encoders simply end here.
     let mut code_ptr_words = Vec::new();
     if pos < buf.len() {
-        let nw: usize = get_field(buf, &mut pos, "code-pointer word count")?;
-        code_ptr_words.reserve(nw.min(1 << 16));
+        let nw = get_count(buf, &mut pos, "code-pointer word count", 1)?;
+        code_ptr_words.reserve(nw);
         let mut prev = 0u64;
         for _ in 0..nw {
             prev = next_address(prev, buf, &mut pos)?;
             code_ptr_words.push(prev);
         }
+    }
+    if pos < buf.len() {
+        return Err(DecodeError::TrailingBytes {
+            at: pos,
+            len: buf.len() - pos,
+        });
     }
     Ok(Program {
         insts,
@@ -749,6 +802,97 @@ mod tests {
                 "words {words}"
             );
         }
+    }
+
+    #[test]
+    fn bytes_after_the_last_section_are_refused() {
+        let p = generate(2, GenConfig::default());
+        let bytes = encode_program(&p);
+        assert_eq!(encode_program(&decode_program(&bytes).unwrap()), bytes);
+        for tail in [&[0u8][..], &[0x11], &[0, 0, 0]] {
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(tail);
+            assert_eq!(
+                decode_program(&longer),
+                Err(DecodeError::TrailingBytes {
+                    at: bytes.len(),
+                    len: tail.len()
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_fault_handler_flag_past_one_is_refused() {
+        for flag in [0u8, 1, 2, 0xff] {
+            let mut bytes = MAGIC.to_vec();
+            put_varint(&mut bytes, 0); // entry
+            put_varint(&mut bytes, crate::TEXT_BASE);
+            bytes.push(flag);
+            if flag != 0 {
+                put_varint(&mut bytes, 0); // the handler
+            }
+            put_varint(&mut bytes, 1);
+            encode(Inst::Halt, &mut bytes);
+            bytes.extend_from_slice(&[0; 5]); // five empty sections
+            let got = decode_program(&bytes);
+            if flag > 1 {
+                assert_eq!(got, Err(DecodeError::BadHandlerFlag(flag)));
+            } else {
+                assert_eq!(encode_program(&got.unwrap()), bytes, "flag {flag}");
+            }
+        }
+    }
+
+    /// A one-instruction program whose section `which` (0 data, 1 MSR
+    /// values, 2 MSR user-ok, 3 code pointers, 4 code-pointer words)
+    /// claims `count` elements, every other section empty.
+    fn claimed_count_bytes(which: usize, count: u64) -> Vec<u8> {
+        let mut bytes = header_and_text();
+        for section in 0..5 {
+            put_varint(&mut bytes, if section == which { count } else { 0 });
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_left_is_refused_before_reserving() {
+        let fields = [
+            "data count",
+            "msr value count",
+            "msr user-ok count",
+            "code-pointer count",
+            "code-pointer word count",
+        ];
+        // The bytes left after the count: the empty sections behind it.
+        for (which, field) in fields.into_iter().enumerate() {
+            let left = 4 - which;
+            for count in [left as u64 + 1, 1 << 40, u64::MAX] {
+                assert_eq!(
+                    decode_program(&claimed_count_bytes(which, count)),
+                    Err(DecodeError::CountPastInput { field, count, left }),
+                    "{field} {count}"
+                );
+            }
+        }
+        // The instruction count, with nothing behind it.
+        let mut bytes = header_and_text();
+        bytes.pop(); // the `Halt`
+        assert_eq!(
+            decode_program(&bytes),
+            Err(DecodeError::CountPastInput {
+                field: "instruction count",
+                count: 1,
+                left: 0
+            })
+        );
+        // A count the bytes left hold exactly is read on.
+        let mut bytes = claimed_count_bytes(3, 3);
+        bytes.pop(); // the word count, which follows the deltas
+        bytes.extend_from_slice(&[2, 1, 1, 0]);
+        let p = decode_program(&bytes).unwrap();
+        assert_eq!(p.code_ptr_lis, vec![2, 3, 4]);
+        assert_eq!(encode_program(&p), bytes);
     }
 
     /// `RdMsr x1, idx` as bytes.
@@ -934,6 +1078,13 @@ mod tests {
                 value: 65_538,
             },
             DecodeError::NonCanonicalVarint { at: 3 },
+            DecodeError::BadHandlerFlag(2),
+            DecodeError::CountPastInput {
+                field: "data count",
+                count: 9,
+                left: 4,
+            },
+            DecodeError::TrailingBytes { at: 12, len: 1 },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -87,9 +87,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
-            shards: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            shards: host_parallelism(),
             jobs: 1,
             deadline_cycles: crate::protocol::DEFAULT_BUDGET,
             result_dir: None,
@@ -563,11 +561,29 @@ fn execute_run(shared: &Shared, spec: &RunSpec) -> Outcome {
     }
 }
 
+/// The host's hardware threads (1 when unknown).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Worker threads for a sweep: what the request asked for (the
+/// configured per-request fan-out when it names none), at least one and
+/// at most the server's parallelism, the larger of that fan-out and the
+/// host's threads. `jobs` is not key material, so the clamp changes no
+/// response.
+fn sweep_jobs(requested: Option<usize>, configured: usize, host: usize) -> usize {
+    requested
+        .unwrap_or(configured)
+        .clamp(1, configured.max(host))
+}
+
 fn execute_sweep(shared: &Shared, spec: &SweepSpec) -> Outcome {
     let cfg = SweepConfig {
         samples: spec.samples,
         iters: spec.iters,
-        jobs: spec.jobs.unwrap_or(shared.cfg.jobs).max(1),
+        jobs: sweep_jobs(spec.jobs, shared.cfg.jobs, host_parallelism()),
         mode: if spec.sample_every > 0 {
             SweepMode::Sampled(SampledParams::new(
                 spec.sample_every,
@@ -691,6 +707,33 @@ fn execute_trace(shared: &Shared, spec: &TraceSpec) -> Outcome {
                 document: payload,
                 error: Some(format!("{}: {e}", e.kind_label())),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sweeps_jobs_are_clamped_to_the_servers_parallelism() {
+        // (requested, configured, host) -> threads
+        for (requested, configured, host, want) in [
+            (None, 1, 2, 1),
+            (None, 4, 2, 4),
+            (Some(0), 1, 2, 1),
+            (Some(2), 1, 2, 2),
+            (Some(3), 1, 2, 2),
+            (Some(3), 4, 2, 3),
+            (Some(usize::MAX), 1, 2, 2),
+            (Some(usize::MAX), 8, 2, 8),
+            (Some(1 << 20), 1, 64, 64),
+        ] {
+            assert_eq!(
+                sweep_jobs(requested, configured, host),
+                want,
+                "{requested:?} {configured} {host}"
+            );
         }
     }
 }

@@ -182,6 +182,17 @@ fn field_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// A `u64` field narrowed to `T`, refused if it does not fit.
+fn field_narrow<T: TryFrom<u64>>(obj: &Json, key: &str, default: T) -> Result<T, String> {
+    match obj.get(key) {
+        None => Ok(default),
+        Some(v) => v.as_u64().and_then(|n| T::try_from(n).ok()).ok_or(format!(
+            "{key:?} must be a non-negative integer that fits a {}",
+            std::any::type_name::<T>()
+        )),
+    }
+}
+
 fn field_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
     obj.get(key)
         .and_then(Json::as_str)
@@ -273,7 +284,7 @@ impl Request {
                 .map(|v| v.as_u64().ok_or("\"jobs\" must be a non-negative integer"))
                 .transpose()?
                 .map(|n| n.max(1) as usize),
-            retries: field_u64(obj, "retries", 1)? as u32,
+            retries: field_narrow(obj, "retries", 1)?,
             deadline_cycles: field_u64(obj, "deadline_cycles", DEFAULT_BUDGET)?,
             chaos_panic: chaos_panic as u8,
             chaos_slow: chaos_slow as u8,
@@ -290,7 +301,7 @@ impl Request {
         }
         Ok(AnalyzeSpec {
             target,
-            secret: field_u64(obj, "secret", 42)? as u8,
+            secret: field_narrow(obj, "secret", 42)?,
             window: obj
                 .get("window")
                 .map(|v| {
@@ -329,7 +340,7 @@ impl Request {
         Ok(TraceSpec {
             attack,
             variant,
-            secret: field_u64(obj, "secret", 42)? as u8,
+            secret: field_narrow(obj, "secret", 42)?,
             format,
             budget: field_u64(obj, "budget", DEFAULT_BUDGET)?,
         })
@@ -503,6 +514,55 @@ mod tests {
             r#"{"op":"stats"}"#,
         ] {
             assert!(Request::parse(line).is_err(), "accepted {line}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_refused_not_narrowed() {
+        for line in [
+            format!(
+                r#"{{"id":1,"op":"sweep","retries":{}}}"#,
+                u64::from(u32::MAX) + 1
+            ),
+            format!(r#"{{"id":1,"op":"sweep","retries":{}}}"#, 1u64 << 40),
+            r#"{"id":1,"op":"analyze","target":"meltdown","secret":256}"#.to_string(),
+            r#"{"id":1,"op":"trace","attack":"meltdown","secret":300}"#.to_string(),
+        ] {
+            let err = Request::parse(&line).expect_err(&line);
+            assert!(err.contains("must be"), "{line}: {err}");
+        }
+        let line = format!(r#"{{"id":1,"op":"sweep","retries":{}}}"#, u32::MAX);
+        let Op::Sweep(s) = Request::parse(&line).unwrap().op else {
+            panic!("not a sweep")
+        };
+        assert_eq!(s.retries, u32::MAX);
+        let line = r#"{"id":1,"op":"trace","attack":"meltdown","secret":255}"#;
+        let Op::Trace(s) = Request::parse(line).unwrap().op else {
+            panic!("not a trace")
+        };
+        assert_eq!(s.secret, 255);
+    }
+
+    #[test]
+    fn no_accepted_iters_overflows_a_kernel_prologue() {
+        // JSON integers stop at 2^53, so the largest `iters` a request
+        // can carry scales by 8 (the widest prologue) without overflow.
+        let big = 1u64 << 53;
+        for op in [
+            r#""op":"run","workload":"gcc""#,
+            r#""op":"sweep""#,
+            r#""op":"analyze","target":"xz""#,
+        ] {
+            let line = format!(r#"{{"id":1,{op},"iters":{big}}}"#);
+            let iters = match Request::parse(&line).unwrap().op {
+                Op::Run(s) => s.iters,
+                Op::Sweep(s) => s.iters,
+                Op::Analyze(s) => s.iters,
+                _ => panic!("{line}"),
+            };
+            assert!(iters.checked_mul(8).is_some(), "{line}");
+            let line = format!(r#"{{"id":1,{op},"iters":{}}}"#, big << 1);
+            assert!(Request::parse(&line).is_err(), "{line}");
         }
     }
 

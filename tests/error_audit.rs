@@ -60,6 +60,15 @@ fn isa_errors_format_every_variant() {
     assert!(audit(&narrow).contains("msr index 65538 out of range"));
     let padded = DecodeError::NonCanonicalVarint { at: 7 };
     assert!(audit(&padded).contains("non-canonical varint at byte 7"));
+    assert!(audit(&DecodeError::BadHandlerFlag(2)).contains("flag 2"));
+    let count = DecodeError::CountPastInput {
+        field: "data count",
+        count: 9,
+        left: 4,
+    };
+    assert!(audit(&count).contains("data count 9 exceeds the 4 bytes left"));
+    let trailing = DecodeError::TrailingBytes { at: 12, len: 1 };
+    assert!(audit(&trailing).contains("trailing bytes after the program: 1 from byte 12"));
 
     assert!(audit(&InterpError::PcOutOfRange { pc: 123 }).contains("123"));
     assert!(audit(&InterpError::UnhandledFault(Fault::PrivilegedAccess {
